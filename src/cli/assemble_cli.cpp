@@ -93,6 +93,34 @@ void WriteSpillLine(std::ostream& out, SpillMode mode,
       << " readback_bytes=" << s.Get("spill.readback_bytes") << '\n';
 }
 
+/// One line per Pregel engine job from the pregel.<job>.* gauges: its
+/// supersteps, messages, and how its wall time split into the compute
+/// phase and message delivery. Timings vary run to run, so the lines carry
+/// a prefix of their own that equivalence diffs can drop.
+void WritePregelJobLines(std::ostream& out, const obs::SnapshotView& s) {
+  static const std::string kPrefix = "pregel.";
+  static const std::string kSuffix = ".compute_micros";
+  for (const obs::MetricValue& m : s.samples()) {
+    const std::string& name = m.name;
+    if (name.size() <= kPrefix.size() + kSuffix.size() ||
+        name.compare(0, kPrefix.size(), kPrefix) != 0 ||
+        name.compare(name.size() - kSuffix.size(), kSuffix.size(),
+                     kSuffix) != 0) {
+      continue;
+    }
+    const std::string job = name.substr(
+        kPrefix.size(), name.size() - kPrefix.size() - kSuffix.size());
+    const std::string base = kPrefix + job + ".";
+    out << "pregel_job: name=" << job
+        << " supersteps=" << s.Get(base + "supersteps")
+        << " messages=" << s.Get(base + "messages")
+        << " wall_seconds=" << s.Get(base + "wall_micros") / 1e6
+        << " compute_seconds=" << m.value / 1e6
+        << " deliver_seconds=" << s.Get(base + "deliver_micros") / 1e6
+        << '\n';
+  }
+}
+
 /// Per-worker telemetry lines (distributed runs only). A fresh "worker:"
 /// prefix so equivalence diffs over counting/dbg/contigs lines never see
 /// these chunk-boundary-dependent numbers.
@@ -149,6 +177,7 @@ void WriteReport(const AssembleCliOptions& opts, std::ostream& out,
       << " messages=" << s.Get("pipeline.messages")
       << " message_bytes=" << s.Get("pipeline.message_bytes")
       << " wall_seconds=" << wall_seconds << '\n';
+  WritePregelJobLines(out, s);
   // Combiner effectiveness across the MapReduce jobs: pairs the map UDFs
   // emitted vs pairs that actually crossed the shuffle after map-side
   // combining (equal when no job combined anything).

@@ -1,5 +1,8 @@
 #include "obs/report.h"
 
+#include <map>
+#include <string>
+
 #include "dbg/kmer_counter.h"
 #include "pregel/stats.h"
 #include "util/cpu.h"
@@ -79,6 +82,33 @@ void PublishRunMetrics(const RunReportData& data, MetricsRegistry* r) {
     Set(r, "spill.spilled_bytes", p.total_spilled_bytes());
     Set(r, "spill.spill_files", p.total_spill_files());
     Set(r, "spill.readback_bytes", p.total_readback_bytes());
+
+    // Per Pregel engine job (MapReduce jobs record no phase times): where
+    // its wall time went. Jobs that run more than once under one name
+    // (e.g. cycle S-V per labeling call) are summed.
+    struct EngineJob {
+      uint64_t supersteps = 0;
+      uint64_t messages = 0;
+      double wall = 0, compute = 0, deliver = 0;
+    };
+    std::map<std::string, EngineJob> engine_jobs;
+    for (const RunStats& job : p.jobs) {
+      if (job.compute_seconds + job.deliver_seconds <= 0) continue;
+      EngineJob& sum = engine_jobs[job.job_name];
+      sum.supersteps += job.num_supersteps();
+      sum.messages += job.total_messages();
+      sum.wall += job.wall_seconds;
+      sum.compute += job.compute_seconds;
+      sum.deliver += job.deliver_seconds;
+    }
+    for (const auto& [name, sum] : engine_jobs) {
+      const std::string prefix = "pregel." + name + ".";
+      Set(r, prefix + "supersteps", sum.supersteps);
+      Set(r, prefix + "messages", sum.messages);
+      Set(r, prefix + "wall_micros", Micros(sum.wall));
+      Set(r, prefix + "compute_micros", Micros(sum.compute));
+      Set(r, prefix + "deliver_micros", Micros(sum.deliver));
+    }
   }
 
   Set(r, "spill.budget_bytes", data.spill_budget_bytes);

@@ -11,6 +11,8 @@
 //   ingest.*    reads/bases/batches of the run's input
 //   counting.*  phase (i) — KmerCountStats
 //   pipeline.*  MapReduce totals — PipelineStats
+//   pregel.<job>.*  per Pregel engine job: supersteps, messages and wall /
+//               compute / deliver micros (summed per job name)
 //   shuffle.*   pairs emitted/shuffled/combined away
 //   spill.*     budget, peak resident, spill volume
 //   net.*       distributed counters (coordinator side)

@@ -52,7 +52,7 @@ PartitionedGraph<DstVertexT> ConvertGraph(PartitionedGraph<SrcVertexT>&& src,
     }
     part.vertices.clear();
     part.vertices.shrink_to_fit();
-    part.index.clear();
+    part.index.Release();
   });
 
   PartitionedGraph<DstVertexT> dst(W);

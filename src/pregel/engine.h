@@ -11,12 +11,40 @@
 //
 // The `num_workers` logical workers of the graph are the distribution unit
 // the paper scales (16..64); they are multiplexed onto up to `num_threads`
-// OS threads. Message routing is per-(source, destination)-partition
-// buffered and lock-free within a superstep.
+// OS threads. A superstep is two fork/join phases over the partitions:
+//
+//   Compute — partition p runs its compute list (vertices still active or
+//   holding messages) and stages every SendTo in its Context's outbox for
+//   the destination partition, outbox_[d], in send order. Outboxes and the
+//   combiner table are cleared, never freed, so after the first supersteps
+//   a job allocates nothing per message.
+//
+//   Deliver — partition d rebuilds its CSR inbox (one message array plus a
+//   {begin, count} window per vertex) from outbox_[d] of every source:
+//     1. resolve each message's destination slot through the partition's
+//        FlatIndex and count per receiver (unknown or removed ids resolve
+//        to a drop marker; they were still counted as sent);
+//     2. prefix-sum the windows of the receivers only — they are exactly
+//        the vertices scheduled for the next compute list;
+//     3. scatter the messages into the array.
+//   Sources are visited in partition order, so a receiver sees its messages
+//   in (source partition, send order). No step walks all n vertices: a
+//   superstep costs O(computed vertices + delivered messages), which keeps
+//   quiescent regions free — essential for jobs with a small active
+//   frontier (e.g. the baselines' sequential propagation).
+//
+// Threads never write to memory another partition's task writes in the same
+// phase: each partition's scheduling state and its Context are separate
+// alignas(64) objects, and hot counters (active vertices, ops) live in
+// locals until the task ends, so neighbouring partitions run on different
+// cores without false sharing. SuperstepStats records the wall time of both
+// phases (compute_seconds, deliver_seconds).
 //
 // VertexT contract:
 //   struct V {
-//     using Message = ...;                  // trivially copyable preferred
+//     using Message = ...;                  // default-constructible and
+//                                           // movable; trivially copyable
+//                                           // preferred
 //     uint64_t id;                          // unique vertex ID
 //     bool halted = false;                  // vote-to-halt flag
 //     bool removed = false;                 // lazy deletion flag
@@ -33,12 +61,12 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "pregel/graph.h"
 #include "pregel/stats.h"
+#include "util/flat_index.h"
 #include "util/hash.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
@@ -73,8 +101,9 @@ class Engine {
  public:
   using Message = typename VertexT::Message;
 
-  /// Per-partition compute context handed to VertexT::Compute.
-  class Context {
+  /// Per-partition compute context handed to VertexT::Compute. Cache-line
+  /// aligned: each is written by its own partition's task on every send.
+  class alignas(64) Context {
    public:
     uint32_t superstep() const { return superstep_; }
     uint32_t num_workers() const { return num_workers_; }
@@ -84,17 +113,18 @@ class Engine {
     /// Sends `msg` to the vertex with id `dst` (delivered next superstep).
     void SendTo(uint64_t dst, Message msg) {
       ++ops_;
-      uint32_t part = PartitionOf(dst, num_workers_);
+      auto& box = outbox_[PartitionOf(dst, num_workers_)];
       if constexpr (pregel_internal::HasCombiner<VertexT>::value) {
-        auto [it, inserted] = combine_slots_[part].try_emplace(
-            dst, static_cast<uint32_t>(outbox_[part].size()));
-        if (!inserted) {
-          VertexT::Combiner::Combine(outbox_[part][it->second].second,
-                                     msg);
+        // The id picks the destination partition, so one table covers
+        // every outbox: it maps dst -> position in its outbox.
+        const uint32_t pos =
+            combine_slots_.Insert(dst, static_cast<uint32_t>(box.size()));
+        if (pos != box.size()) {
+          VertexT::Combiner::Combine(box[pos].second, msg);
           return;
         }
       }
-      outbox_[part].emplace_back(dst, std::move(msg));
+      box.emplace_back(dst, std::move(msg));
     }
 
     /// Current vertex votes to halt; it is reactivated by any message.
@@ -127,21 +157,16 @@ class Engine {
     uint64_t ops_ = 0;
     std::array<uint64_t, kNumAggregatorSlots> agg_{};
     std::array<uint64_t, kNumAggregatorSlots> prev_agg_{};
+    // outbox_[d]: (destination id, message) staged for partition d. The
+    // deliver task of d overwrites each id with the resolved slot.
     std::vector<std::vector<std::pair<uint64_t, Message>>> outbox_;
-    std::vector<std::unordered_map<uint64_t, uint32_t, IdHash>>
-        combine_slots_;
+    FlatIndex combine_slots_;  // combiner jobs only
     std::vector<VertexT> additions_;
   };
 
   explicit Engine(EngineConfig config = {}) : config_(std::move(config)) {}
 
   /// Runs the job to termination; the graph is mutated in place.
-  ///
-  /// Per-superstep cost is O(computed vertices + delivered messages): each
-  /// partition keeps a compute list of vertices that are either still
-  /// active (did not vote to halt) or received a message, so quiescent
-  /// regions of the graph cost nothing — essential for jobs whose active
-  /// frontier is small (e.g. the baselines' sequential propagation).
   RunStats Run(PartitionedGraph<VertexT>& graph) {
     Timer timer;
     const uint32_t W = graph.num_workers();
@@ -151,63 +176,50 @@ class Engine {
     RunStats stats;
     stats.job_name = config_.job_name;
 
-    // Per-partition message inboxes plus compute scheduling state.
-    std::vector<std::vector<std::vector<Message>>> inbox(W);
-    std::vector<std::vector<uint32_t>> compute_list(W);
-    std::vector<std::vector<uint8_t>> scheduled(W);
+    std::vector<PartitionState> state(W);
+    std::vector<Context> contexts(W);
     for (uint32_t p = 0; p < W; ++p) {
-      const size_t n = graph.partition(p).vertices.size();
-      inbox[p].resize(n);
-      scheduled[p].assign(n, 1);
-      compute_list[p].resize(n);
-      for (uint32_t i = 0; i < n; ++i) compute_list[p][i] = i;
+      PartitionState& st = state[p];
+      const auto& vertices = graph.partition(p).vertices;
+      const size_t n = vertices.size();
+      st.flags.assign(n, 0);
+      st.window.resize(n);
+      st.compute.reserve(n);
+      for (uint32_t i = 0; i < n; ++i) {
+        if (vertices[i].removed) {
+          st.flags[i] = kRemoved;
+        } else {
+          st.flags[i] = kScheduled;
+          st.compute.push_back(i);
+        }
+      }
+      contexts[p].num_workers_ = W;
+      contexts[p].worker_id_ = p;
+      contexts[p].outbox_.resize(W);
     }
 
-    std::vector<Context> contexts(W);
     std::array<uint64_t, kNumAggregatorSlots> prev_agg{};
 
     for (uint32_t step = 0; step < config_.max_supersteps; ++step) {
       // --- Compute phase -------------------------------------------------
+      Timer phase;
       const uint64_t n_vertices = graph.size();
-      for (uint32_t p = 0; p < W; ++p) {
+      pool.Run(W, [&](uint32_t p) {
         Context& ctx = contexts[p];
         ctx.superstep_ = step;
-        ctx.num_workers_ = W;
-        ctx.worker_id_ = p;
         ctx.num_vertices_ = n_vertices;
         ctx.ops_ = 0;
         ctx.agg_.fill(0);
         ctx.prev_agg_ = prev_agg;
-        ctx.outbox_.assign(W, {});
+        for (auto& box : ctx.outbox_) box.clear();
         if constexpr (pregel_internal::HasCombiner<VertexT>::value) {
-          ctx.combine_slots_.assign(W, {});
+          ctx.combine_slots_.Clear();
         }
         ctx.additions_.clear();
-      }
-
-      std::vector<uint64_t> active_per_part(W, 0);
-      std::vector<std::vector<uint32_t>> next_list(W);
-      pool.Run(W, [&](uint32_t p) {
-        auto& part = graph.partition(p);
-        Context& ctx = contexts[p];
-        for (uint32_t i : compute_list[p]) {
-          scheduled[p][i] = 0;  // Delivery may re-schedule this vertex.
-          VertexT& v = part.vertices[i];
-          if (v.removed) continue;
-          std::vector<Message>& msgs = inbox[p][i];
-          if (v.halted && msgs.empty()) continue;
-          v.halted = false;
-          ++active_per_part[p];
-          ctx.current_ = &v;
-          ctx.ops_ += 1 + msgs.size();
-          v.Compute(ctx, std::span<const Message>(msgs));
-          msgs.clear();
-          if (!v.halted && !v.removed && scheduled[p][i] == 0) {
-            scheduled[p][i] = 1;
-            next_list[p].push_back(i);
-          }
-        }
+        ComputePartition(graph.partition(p).vertices, state[p], ctx);
       });
+      const double compute_seconds = phase.Seconds();
+      phase.Reset();
 
       // --- Barrier: stats, aggregators, mutations, message delivery ------
       SuperstepStats ss;
@@ -218,13 +230,11 @@ class Engine {
         ss.worker_ops.resize(W);
       }
       prev_agg.fill(0);
-      uint64_t staged_messages = 0;
       for (uint32_t p = 0; p < W; ++p) {
-        Context& ctx = contexts[p];
-        ss.active_vertices += active_per_part[p];
+        const Context& ctx = contexts[p];
+        ss.active_vertices += state[p].active;
         uint64_t sent = 0;
-        for (uint32_t d = 0; d < W; ++d) sent += ctx.outbox_[d].size();
-        staged_messages += sent;
+        for (const auto& box : ctx.outbox_) sent += box.size();
         ss.messages_sent += sent;
         ss.message_bytes += sent * sizeof(Message);
         ss.compute_ops += ctx.ops_;
@@ -237,49 +247,40 @@ class Engine {
           prev_agg[s] += ctx.agg_[s];
         }
       }
+
+      // Vertex additions (routed by id); new vertices start active. They
+      // are indexed before delivery, so messages sent to them in this
+      // superstep already reach them.
+      for (Context& ctx : contexts) {
+        for (VertexT& v : ctx.additions_) {
+          const uint32_t dst = PartitionOf(v.id, W);
+          const uint8_t removed = v.removed ? kRemoved : 0;
+          graph.AddToPartition(dst, std::move(v));
+          PartitionState& st = state[dst];
+          st.flags.push_back(kScheduled | removed);
+          st.window.emplace_back();
+          st.next.push_back(static_cast<uint32_t>(st.flags.size() - 1));
+        }
+      }
+
+      pool.Run(W, [&](uint32_t d) {
+        DeliverPartition(graph.partition(d), state[d], contexts, d);
+      });
+      ss.compute_seconds = compute_seconds;
+      ss.deliver_seconds = phase.Seconds();
+      stats.compute_seconds += ss.compute_seconds;
+      stats.deliver_seconds += ss.deliver_seconds;
+      const bool quiet = ss.messages_sent == 0;
       stats.supersteps.push_back(std::move(ss));
 
-      // Vertex additions (routed by id); new vertices start active.
-      for (uint32_t p = 0; p < W; ++p) {
-        for (VertexT& v : contexts[p].additions_) {
-          uint32_t dst = PartitionOf(v.id, W);
-          graph.AddToPartition(dst, std::move(v));
-          const size_t n = graph.partition(dst).vertices.size();
-          inbox[dst].resize(n);
-          scheduled[dst].resize(n, 0);
-          scheduled[dst][n - 1] = 1;
-          next_list[dst].push_back(static_cast<uint32_t>(n - 1));
-        }
-      }
-
-      // Deliver staged messages into next-superstep inboxes, scheduling
-      // each receiving vertex for the next compute phase.
-      pool.Run(W, [&](uint32_t d) {
-        auto& part = graph.partition(d);
-        for (uint32_t src = 0; src < W; ++src) {
-          for (auto& [dst_id, msg] : contexts[src].outbox_[d]) {
-            auto it = part.index.find(dst_id);
-            if (it == part.index.end()) continue;  // Unknown: dropped.
-            const uint32_t idx = it->second;
-            if (part.vertices[idx].removed) continue;
-            inbox[d][idx].push_back(std::move(msg));
-            if (scheduled[d][idx] == 0) {
-              scheduled[d][idx] = 1;
-              next_list[d].push_back(idx);
-            }
-          }
-        }
-      });
-      compute_list = std::move(next_list);
-
       // Termination test: nothing scheduled for the next superstep.
-      if (staged_messages == 0) {
-        bool any_scheduled = false;
-        for (uint32_t p = 0; p < W && !any_scheduled; ++p) {
-          any_scheduled = !compute_list[p].empty();
-        }
-        if (!any_scheduled) break;
+      bool any_scheduled = false;
+      for (PartitionState& st : state) {
+        st.compute.swap(st.next);
+        st.next.clear();
+        any_scheduled = any_scheduled || !st.compute.empty();
       }
+      if (quiet && !any_scheduled) break;
     }
 
     stats.wall_seconds = timer.Seconds();
@@ -287,6 +288,107 @@ class Engine {
   }
 
  private:
+  using Partition = typename PartitionedGraph<VertexT>::Partition;
+
+  // PartitionState::flags bits.
+  static constexpr uint8_t kScheduled = 1;  // on the next compute list
+  static constexpr uint8_t kRemoved = 2;    // mirrors VertexT::removed
+
+  /// Marks a staged message whose destination is unknown or removed.
+  static constexpr uint64_t kDropped = UINT64_MAX;
+
+  /// A vertex's messages for the coming compute: inbox[begin - count,
+  /// begin). Delivery advances `begin` as the scatter cursor, so after the
+  /// scatter it points one past the window.
+  struct Window {
+    uint32_t begin = 0;
+    uint32_t count = 0;
+  };
+
+  /// Scheduling state and CSR inbox of one partition, indexed by vertex
+  /// slot. Only the partition's own task touches it within a phase.
+  struct alignas(64) PartitionState {
+    std::vector<uint32_t> compute;  // slots to compute this superstep
+    std::vector<uint32_t> next;     // slots scheduled for the next one
+    std::vector<uint8_t> flags;     // kScheduled | kRemoved per slot
+    std::vector<Window> window;     // per slot; count > 0 only for receivers
+    std::vector<Message> inbox;     // CSR message array
+    uint64_t active = 0;            // vertices computed this superstep
+  };
+
+  /// Runs Compute on the partition's compute list; still-active vertices
+  /// go on the next list.
+  static void ComputePartition(std::vector<VertexT>& vertices,
+                               PartitionState& st, Context& ctx) {
+    uint64_t active = 0;
+    uint64_t ops = 0;
+    for (const uint32_t i : st.compute) {
+      st.flags[i] &= ~kScheduled;  // Delivery may re-schedule this vertex.
+      Window& w = st.window[i];
+      const uint32_t count = w.count;
+      w.count = 0;
+      VertexT& v = vertices[i];
+      if (v.removed) continue;
+      if (v.halted && count == 0) continue;
+      v.halted = false;
+      ++active;
+      ops += 1 + count;
+      ctx.current_ = &v;
+      const std::span<const Message> msgs =
+          count == 0 ? std::span<const Message>()
+                     : std::span<const Message>(
+                           st.inbox.data() + (w.begin - count), count);
+      v.Compute(ctx, msgs);
+      if (v.removed) {
+        st.flags[i] |= kRemoved;
+      } else if (!v.halted) {
+        st.flags[i] |= kScheduled;
+        st.next.push_back(i);
+      }
+    }
+    st.active = active;
+    ctx.ops_ += ops;  // SendTo counted the sends.
+  }
+
+  /// Rebuilds partition d's CSR inbox from outbox_[d] of every source and
+  /// schedules each receiver.
+  static void DeliverPartition(Partition& part, PartitionState& st,
+                               std::vector<Context>& contexts, uint32_t d) {
+    // 1. Resolve slots in place and count per receiver; the first message
+    //    to an unscheduled vertex schedules it.
+    for (Context& src : contexts) {
+      for (auto& [dst, msg] : src.outbox_[d]) {
+        const uint32_t slot = part.index.Find(dst);
+        if (slot == FlatIndex::kEmpty || (st.flags[slot] & kRemoved)) {
+          dst = kDropped;
+          continue;
+        }
+        dst = slot;
+        if (st.window[slot].count++ == 0 &&
+            (st.flags[slot] & kScheduled) == 0) {
+          st.flags[slot] |= kScheduled;
+          st.next.push_back(slot);
+        }
+      }
+    }
+    // 2. Prefix-sum the receivers' windows. Every receiver is on the next
+    //    list, so walking it covers them all without an O(n) pass.
+    uint32_t total = 0;
+    for (const uint32_t i : st.next) {
+      Window& w = st.window[i];
+      w.begin = total;
+      total += w.count;
+    }
+    st.inbox.resize(total);
+    // 3. Scatter in (source partition, send order).
+    for (Context& src : contexts) {
+      for (auto& [slot, msg] : src.outbox_[d]) {
+        if (slot == kDropped) continue;
+        st.inbox[st.window[slot].begin++] = std::move(msg);
+      }
+    }
+  }
+
   EngineConfig config_;
 };
 

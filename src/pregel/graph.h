@@ -3,15 +3,21 @@
 // Pregel+ "distributes vertices to machines by hashing vertex ID" (Sec. II).
 // A PartitionedGraph owns `num_workers` partitions; vertex v lives in
 // partition PartitionOf(v.id). Each partition keeps a dense vertex vector
-// plus an id -> slot index for message delivery.
+// plus a FlatIndex (util/flat_index.h) mapping id -> slot: one linear-probed
+// array of 16-byte entries, so the engine's per-message delivery lookup is
+// usually a single cache-line read. Slots are stable for the life of a
+// job — the engine's per-vertex state and CSR inbox windows
+// (pregel/engine.h) are indexed by them — and change only on Compact.
+// Deletion is lazy (the `removed` flag); a removed vertex keeps its index
+// entry until Compact, and Find hides it.
 #ifndef PPA_PREGEL_GRAPH_H_
 #define PPA_PREGEL_GRAPH_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "util/flat_index.h"
 #include "util/hash.h"
 #include "util/logging.h"
 
@@ -26,7 +32,8 @@ class PartitionedGraph {
  public:
   struct Partition {
     std::vector<VertexT> vertices;
-    std::unordered_map<uint64_t, uint32_t, IdHash> index;
+    FlatIndex index;  // id -> slot in `vertices`; a duplicate id keeps
+                      // the slot it was first added at.
   };
 
   explicit PartitionedGraph(uint32_t num_workers)
@@ -41,7 +48,7 @@ class PartitionedGraph {
   /// Adds a vertex (routed by hash of its id). Not thread-safe.
   void Add(VertexT v) {
     Partition& p = partitions_[PartitionOf(v.id, num_workers())];
-    p.index.emplace(v.id, static_cast<uint32_t>(p.vertices.size()));
+    p.index.Insert(v.id, static_cast<uint32_t>(p.vertices.size()));
     p.vertices.push_back(std::move(v));
   }
 
@@ -49,7 +56,7 @@ class PartitionedGraph {
   /// must have routed it correctly (used by shuffle-producing jobs).
   void AddToPartition(uint32_t part, VertexT v) {
     Partition& p = partitions_[part];
-    p.index.emplace(v.id, static_cast<uint32_t>(p.vertices.size()));
+    p.index.Insert(v.id, static_cast<uint32_t>(p.vertices.size()));
     p.vertices.push_back(std::move(v));
   }
 
@@ -77,9 +84,9 @@ class PartitionedGraph {
   /// Pointer to the vertex with `id`, or nullptr if absent/removed.
   VertexT* Find(uint64_t id) {
     Partition& p = partitions_[PartitionOf(id, num_workers())];
-    auto it = p.index.find(id);
-    if (it == p.index.end()) return nullptr;
-    VertexT* v = &p.vertices[it->second];
+    const uint32_t slot = p.index.Find(id);
+    if (slot == FlatIndex::kEmpty) return nullptr;
+    VertexT* v = &p.vertices[slot];
     return v->removed ? nullptr : v;
   }
 
@@ -115,9 +122,10 @@ class PartitionedGraph {
         if (!v.removed) kept.push_back(std::move(v));
       }
       p.vertices = std::move(kept);
-      p.index.clear();
+      p.index.Clear();
+      p.index.Reserve(p.vertices.size());
       for (uint32_t i = 0; i < p.vertices.size(); ++i) {
-        p.index.emplace(p.vertices[i].id, i);
+        p.index.Insert(p.vertices[i].id, i);
       }
     }
   }

@@ -4,7 +4,9 @@
 // for the two contig-labeling algorithms; Fig. 12 derives cluster wall-clock
 // from per-worker communication and computation volumes. The engine records
 // everything needed for both here: per superstep and per logical worker,
-// the number of compute invocations, messages and message bytes.
+// the number of compute invocations, messages and message bytes. Engine
+// jobs also split each superstep's wall time into compute and delivery, so a
+// report can show which phase of which job a change moved.
 #ifndef PPA_PREGEL_STATS_H_
 #define PPA_PREGEL_STATS_H_
 
@@ -21,6 +23,10 @@ struct SuperstepStats {
   uint64_t messages_sent = 0;
   uint64_t message_bytes = 0;
   uint64_t compute_ops = 0;  // compute calls + messages processed + sent.
+  // Pregel engine jobs only: wall time of the compute phase and of the
+  // barrier (mutations + message delivery into the CSR inboxes).
+  double compute_seconds = 0;
+  double deliver_seconds = 0;
   // Index = logical worker id; sized num_workers.
   std::vector<uint64_t> worker_messages;
   std::vector<uint64_t> worker_bytes;
@@ -33,6 +39,11 @@ struct RunStats {
   std::string job_name;
   std::vector<SuperstepStats> supersteps;
   double wall_seconds = 0;
+
+  // Pregel engine jobs only: the per-superstep phase times summed. Zero for
+  // MapReduce jobs.
+  double compute_seconds = 0;
+  double deliver_seconds = 0;
 
   // MapReduce jobs only: map-side emissions before and after combining.
   // Equal when the job has no combiner; the gap is the combiner's saving.
@@ -149,6 +160,8 @@ struct PipelineStats {
     for (const auto& j : jobs) {
       if (j.job_name.find(substr) == std::string::npos) continue;
       out.wall_seconds += j.wall_seconds;
+      out.compute_seconds += j.compute_seconds;
+      out.deliver_seconds += j.deliver_seconds;
       out.pairs_emitted += j.pairs_emitted;
       out.pairs_shuffled += j.pairs_shuffled;
       out.spilled_chunks += j.spilled_chunks;

@@ -3,8 +3,15 @@
 //
 // The engine partitions vertices across `num_workers` logical workers (the
 // unit the paper scales from 16 to 64); those partitions are processed by up
-// to hardware_concurrency() OS threads per superstep. Each superstep is a
-// fork/join region; there is no cross-superstep thread state.
+// to hardware_concurrency() OS threads. Each superstep is two fork/join
+// regions (compute, then delivery); threads claim partition indices from a
+// shared atomic counter, so uneven partitions balance dynamically. There is
+// no cross-superstep thread state: everything a task writes lives in its
+// partition's own cache-line-aligned state (pregel/engine.h), which is what
+// lets adjacent partitions run on different cores without false sharing.
+// Threads are spawned per Run call; at the engine's superstep sizes that
+// fork/join costs ~1-2% of a job, so a persistent pool is not worth its
+// complexity yet.
 #ifndef PPA_UTIL_THREAD_POOL_H_
 #define PPA_UTIL_THREAD_POOL_H_
 

@@ -577,6 +577,18 @@ TEST(AssembleCliRunTest, ReportJsonAndTraceMatchTextReport) {
   for (const auto& [metric, key] : kPairs) {
     EXPECT_EQ(metrics->GetU64(metric), field(stats, key)) << metric;
   }
+  // Each Pregel engine job reports its phase split in both renderings.
+  const size_t job_line = stats.find("pregel_job: name=contig-labeling-lr ");
+  ASSERT_NE(job_line, std::string::npos) << stats;
+  const std::string job_stats = stats.substr(job_line - 1);
+  EXPECT_EQ(metrics->GetU64("pregel.contig-labeling-lr.supersteps"),
+            field(job_stats, "supersteps"));
+  EXPECT_EQ(metrics->GetU64("pregel.contig-labeling-lr.messages"),
+            field(job_stats, "messages"));
+  EXPECT_GT(metrics->GetU64("pregel.contig-labeling-lr.supersteps"), 0u);
+  EXPECT_GT(metrics->GetU64("pregel.contig-labeling-lr.compute_micros") +
+                metrics->GetU64("pregel.contig-labeling-lr.deliver_micros"),
+            0u);
   // The live io.* counters saw the same stream the ingest totals did.
   EXPECT_EQ(metrics->GetU64("io.reads"), field(stats, "reads"));
   EXPECT_EQ(metrics->GetU64("io.bases"), field(stats, "bases"));

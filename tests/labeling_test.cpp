@@ -10,6 +10,8 @@
 
 #include "core/dbg_construction.h"
 #include "dna/read.h"
+#include "sim/genome.h"
+#include "sim/read_simulator.h"
 #include "util/random.h"
 
 namespace ppa {
@@ -151,6 +153,50 @@ TEST(LabelingTest, LabelIsSmallerEndMarkedId) {
   graph.ForEach([&](const AsmNode& node) { ids.insert(node.id); });
   for (const auto& [id, label] : result.labels) {
     EXPECT_TRUE(ids.count(label) == 1) << label;
+  }
+}
+
+// The label map is a function of the graph, not of how the 16 logical
+// workers are multiplexed onto threads: LR and S-V each produce the same
+// labels at 1, 2 and 4 threads. Reads carry 0.5% errors so the graph has
+// the forks, tips and bubbles of a real run, not just clean paths.
+TEST(LabelingTest, LabelsIdenticalAcrossThreadCounts) {
+  GenomeConfig gconfig;
+  gconfig.length = 20000;
+  gconfig.repeat_families = 2;
+  gconfig.repeat_length = 150;
+  gconfig.repeat_copies = 3;
+  gconfig.seed = 17;
+  ReadSimConfig rconfig;
+  rconfig.read_length = 100;
+  rconfig.coverage = 30;
+  rconfig.error_rate = 0.005;
+  rconfig.seed = 23;
+  std::vector<Read> reads = SimulateReads(GenerateGenome(gconfig), rconfig);
+
+  AssemblerOptions options = TestOptions(31);
+  options.num_workers = 16;
+  options.num_threads = 1;
+  AssemblyGraph graph = std::move(BuildDbg(reads, options).graph);
+
+  for (LabelingMethod method :
+       {LabelingMethod::kListRanking, LabelingMethod::kSimplifiedSv}) {
+    options.num_threads = 1;
+    const LabelingResult reference = LabelContigs(graph, options, method);
+    ASSERT_GT(reference.num_ambiguous, 0u) << LabelingMethodName(method);
+    ASSERT_GT(DistinctLabels(reference), 1u);
+    for (unsigned threads : {2u, 4u}) {
+      options.num_threads = threads;
+      const LabelingResult got = LabelContigs(graph, options, method);
+      EXPECT_EQ(got.labels, reference.labels)
+          << LabelingMethodName(method) << " threads=" << threads;
+      EXPECT_EQ(got.on_cycle, reference.on_cycle)
+          << LabelingMethodName(method) << " threads=" << threads;
+      EXPECT_EQ(got.total_messages(), reference.total_messages())
+          << LabelingMethodName(method) << " threads=" << threads;
+      EXPECT_EQ(got.total_supersteps(), reference.total_supersteps())
+          << LabelingMethodName(method) << " threads=" << threads;
+    }
   }
 }
 

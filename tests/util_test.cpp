@@ -1,5 +1,5 @@
-// Tests for util/: varint, hashing, edit distance, text store, thread pool,
-// RNG determinism.
+// Tests for util/: varint, hashing, the flat id index, edit distance, text
+// store, thread pool, RNG determinism.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -7,7 +7,9 @@
 #include <set>
 #include <string>
 
+#include "dbg/ids.h"
 #include "util/edit_distance.h"
+#include "util/flat_index.h"
 #include "util/hash.h"
 #include "util/random.h"
 #include "util/text_store.h"
@@ -175,6 +177,86 @@ TEST(HashTest, PartitionerBalancesSimilarKeys) {
     EXPECT_GT(c, 700);
     EXPECT_LT(c, 1300);
   }
+}
+
+TEST(FlatIndexTest, DuplicateKeyKeepsFirstValue) {
+  FlatIndex index;
+  EXPECT_EQ(index.Insert(42, 7), 7u);
+  EXPECT_EQ(index.Insert(42, 9), 7u);  // emplace semantics: first wins
+  EXPECT_EQ(index.Find(42), 7u);
+  EXPECT_EQ(index.size(), 1u);
+}
+
+TEST(FlatIndexTest, MissesReturnEmpty) {
+  FlatIndex index;
+  EXPECT_EQ(index.Find(1), FlatIndex::kEmpty);  // no table yet
+  index.Insert(1, 0);
+  EXPECT_EQ(index.Find(2), FlatIndex::kEmpty);
+}
+
+TEST(FlatIndexTest, ZeroAndNullIdAreOrdinaryKeys) {
+  FlatIndex index;
+  EXPECT_EQ(index.Find(0), FlatIndex::kEmpty);
+  EXPECT_EQ(index.Find(kNullId), FlatIndex::kEmpty);
+  index.Insert(0, 3);
+  index.Insert(kNullId, 4);
+  index.Insert(UINT64_MAX, 5);
+  EXPECT_EQ(index.Find(0), 3u);
+  EXPECT_EQ(index.Find(kNullId), 4u);
+  EXPECT_EQ(index.Find(UINT64_MAX), 5u);
+  EXPECT_EQ(index.size(), 3u);
+}
+
+TEST(FlatIndexTest, MappingsSurviveRehashGrowth) {
+  // Keys that share a partition (Mix64 low bits) — the graph's workload —
+  // plus duplicates re-inserted after every growth step.
+  FlatIndex index;
+  std::vector<uint64_t> keys;
+  for (uint64_t k = 0; keys.size() < 20000; ++k) {
+    if (PartitionOf(k, 16) == 3) keys.push_back(k);
+  }
+  size_t last_capacity = index.capacity();
+  int growths = 0;
+  for (uint32_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(index.Insert(keys[i], i), i);
+    if (index.capacity() != last_capacity) {
+      ++growths;
+      last_capacity = index.capacity();
+      for (uint32_t j = 0; j <= i; ++j) {
+        ASSERT_EQ(index.Find(keys[j]), j) << "after growth to "
+                                           << last_capacity;
+      }
+    }
+  }
+  EXPECT_GT(growths, 5);
+  for (uint32_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(index.Insert(keys[i], i + 1), i);  // duplicates keep first
+  }
+  EXPECT_EQ(index.size(), keys.size());
+  EXPECT_LE(index.size() * 5, index.capacity() * 4);  // load <= 80%
+}
+
+TEST(FlatIndexTest, ReserveClearAndRelease) {
+  FlatIndex index;
+  index.Reserve(1000);
+  const size_t reserved = index.capacity();
+  EXPECT_GE(reserved * 4, 1000u * 5);
+  for (uint32_t i = 0; i < 1000; ++i) index.Insert(i * 977, i);
+  EXPECT_EQ(index.capacity(), reserved);  // no rehash after Reserve
+
+  index.Clear();
+  EXPECT_EQ(index.size(), 0u);
+  EXPECT_EQ(index.capacity(), reserved);  // table kept for reuse
+  EXPECT_EQ(index.Find(977), FlatIndex::kEmpty);
+  index.Insert(977, 5);
+  EXPECT_EQ(index.Find(977), 5u);
+
+  index.Release();
+  EXPECT_EQ(index.size(), 0u);
+  EXPECT_EQ(index.capacity(), 0u);
+  EXPECT_EQ(index.Find(977), FlatIndex::kEmpty);
+  index.Insert(977, 6);  // usable again after Release
+  EXPECT_EQ(index.Find(977), 6u);
 }
 
 TEST(EditDistanceTest, KnownValues) {
