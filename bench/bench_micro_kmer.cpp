@@ -5,9 +5,9 @@
 // counting throughput on the simulated HC-2 dataset (the dominant cost of
 // DBG construction).
 //
-// The custom main() additionally runs the raw-vs-superkmer pass-1 encoding
-// comparison on the HC-2-sim workload before the registered benchmarks and
-// writes its measurements to BENCH_kmer.json (override the path with
+// The custom main() additionally runs the super-k-mer counter against the
+// serial oracle on the HC-2-sim workload before the registered benchmarks
+// and writes its measurements to BENCH_kmer.json (override the path with
 // PPA_BENCH_JSON), so the perf trajectory of the counter accumulates in
 // machine-readable form. CI runs just that part with
 // --benchmark_filter='^$'.
@@ -240,14 +240,11 @@ void BM_CountEdgeMersSerial(benchmark::State& state) {
 }
 BENCHMARK(BM_CountEdgeMersSerial)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// Arg(0) selects the pass-1 encoding (0 = raw, 1 = superkmer), Arg(1) the
-// thread count — so the same grid prices the encoding at every parallelism.
+// Arg is the thread count.
 void BM_CountEdgeMersSharded(benchmark::State& state) {
   const std::vector<Read>& reads = Hc2Reads();
   KmerCountConfig config = Hc2CountConfig();
-  config.pass1_encoding = state.range(0) == 0 ? Pass1Encoding::kRaw
-                                              : Pass1Encoding::kSuperkmer;
-  config.num_threads = static_cast<unsigned>(state.range(1));
+  config.num_threads = static_cast<unsigned>(state.range(0));
   uint64_t bases = 0;
   double bytes_per_window = 0;
   for (auto _ : state) {
@@ -265,14 +262,17 @@ void BM_CountEdgeMersSharded(benchmark::State& state) {
                           static_cast<int64_t>(bases));
 }
 BENCHMARK(BM_CountEdgeMersSharded)
-    ->ArgsProduct({{0, 1}, {1, 2, 4, 8}})
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
 // Streaming ingestion (CounterSession): same work as the sharded batch
 // counter but counting overlaps scanning under a bounded queue — compare
 // against BM_CountEdgeMersSharded to price the streaming memory bound.
-// Arg is the queued-code bound (0 = default 4 Mi codes).
+// Arg is the queued-byte bound (0 = CounterSession's default).
 void BM_CountEdgeMersStream(benchmark::State& state) {
   const std::vector<Read>& reads = Hc2Reads();
   KmerCountConfig config = Hc2CountConfig();
@@ -377,24 +377,23 @@ BENCHMARK(BM_CountEdgeMersDistributed)
     ->UseRealTime();
 
 // ---------------------------------------------------------------------------
-// Raw vs superkmer pass-1 on HC-2-sim, measured once per process and
-// emitted as BENCH_kmer.json. Each encoding runs the batch counter (clean
-// pass-1/pass-2 split and chunk-byte totals) and a CounterSession (the
-// streaming path's peak queued bytes under the default bound).
+// The super-k-mer counter against the serial oracle on HC-2-sim, measured
+// once per process and emitted as BENCH_kmer.json. The sharded side runs
+// the batch counter (clean pass-1/pass-2 split and chunk-byte totals) and a
+// CounterSession (the streaming path's peak queued bytes under the default
+// bound).
 // ---------------------------------------------------------------------------
 
-struct EncodingMeasurement {
+struct CounterMeasurement {
   KmerCountStats batch;    // CountCanonicalMers
   KmerCountStats stream;   // CounterSession over 1024-read batches
 };
 
-EncodingMeasurement MeasureEncoding(Pass1Encoding encoding,
-                                    unsigned threads) {
+CounterMeasurement MeasureCounter(unsigned threads) {
   const std::vector<Read>& reads = Hc2Reads();
   KmerCountConfig config = Hc2CountConfig();
-  config.pass1_encoding = encoding;
   config.num_threads = threads;
-  EncodingMeasurement m;
+  CounterMeasurement m;
   CountCanonicalMers(reads, config, &m.batch);
 
   CounterSession session(config);
@@ -521,9 +520,8 @@ double BytesPerWindow(const KmerCountStats& stats) {
                    static_cast<double>(stats.total_windows);
 }
 
-void WriteEncodingJson(std::ofstream& out, const char* key,
-                       const EncodingMeasurement& m) {
-  out << "  \"" << key << "\": {\n"
+void WriteCounterJson(std::ofstream& out, const CounterMeasurement& m) {
+  out << "  \"superkmer\": {\n"
       << "    \"windows\": " << m.batch.total_windows << ",\n"
       << "    \"superkmers\": " << m.batch.superkmers << ",\n"
       << "    \"chunk_bytes\": " << m.batch.shuffled_bytes << ",\n"
@@ -538,8 +536,8 @@ void WriteEncodingJson(std::ofstream& out, const char* key,
 
 // ---------------------------------------------------------------------------
 // SIMD dispatch measurements for BENCH_kmer.json: per-kernel encode
-// throughput, hardware vs table CRC-32, the scalar-vs-SIMD counter grid
-// across thread counts, and mutex vs ring queues. All once per process —
+// throughput, hardware vs table CRC-32, and the scalar-vs-SIMD counter grid
+// across thread counts. All once per process —
 // CI's bench-smoke runs with --benchmark_filter='^$' and still gets these.
 // ---------------------------------------------------------------------------
 
@@ -579,13 +577,6 @@ struct DispatchGridRow {
   double simd_seconds = 0;
 };
 
-struct QueueRow {
-  const char* name;
-  double seconds = 0;
-  uint64_t spin_parks = 0;
-  uint64_t peak_queued_bytes = 0;
-};
-
 double CountWallSeconds(unsigned threads) {
   const std::vector<Read>& reads = Hc2Reads();
   KmerCountConfig config = Hc2CountConfig();
@@ -614,32 +605,11 @@ DispatchGridRow MeasureDispatchRow(unsigned threads) {
   return row;
 }
 
-QueueRow MeasureQueueImpl(QueueImpl impl, unsigned threads) {
-  const std::vector<Read>& reads = Hc2Reads();
-  KmerCountConfig config = Hc2CountConfig();
-  config.num_threads = threads;
-  config.queue_impl = impl;
-  QueueRow row{QueueImplName(impl)};
-  Timer timer;
-  CounterSession session(config);
-  constexpr size_t kBatch = 1024;
-  for (size_t begin = 0; begin < reads.size(); begin += kBatch) {
-    session.AddBatch(reads.data() + begin,
-                     std::min(kBatch, reads.size() - begin));
-  }
-  KmerCountStats stats;
-  session.Finish(&stats);
-  row.seconds = timer.Seconds();
-  row.spin_parks = stats.queue_spin_parks;
-  row.peak_queued_bytes = stats.peak_queued_bytes;
-  return row;
-}
-
 /// Measures everything SIMD-shaped and returns the JSON members (indented
 /// for the top-level BENCH_kmer.json object, trailing comma included).
 std::string RunSimdComparison() {
-  bench::PrintHeader("bench_micro_kmer: SIMD dispatch (encode / CRC-32 / "
-                     "counter grid / queues)");
+  bench::PrintHeader(
+      "bench_micro_kmer: SIMD dispatch (encode / CRC-32 / counter grid)");
   std::printf("active simd_level = %s%s\n",
               SimdLevelName(ActiveSimdLevel()),
               SimdForcedScalar() ? " (PPA_FORCE_SCALAR)" : "");
@@ -699,17 +669,6 @@ std::string RunSimdComparison() {
                     : row.scalar_seconds / row.simd_seconds);
   }
 
-  // Mutex vs ring chunk queues on the streaming session.
-  unsigned threads = bench::BenchThreads();
-  if (threads == 0) threads = std::thread::hardware_concurrency();
-  const QueueRow mutex_row = MeasureQueueImpl(QueueImpl::kMutex, threads);
-  const QueueRow rings_row = MeasureQueueImpl(QueueImpl::kRings, threads);
-  for (const QueueRow& row : {mutex_row, rings_row}) {
-    std::printf("queue %-6s threads=%u %.3fs  spin_parks=%llu\n", row.name,
-                threads, row.seconds,
-                static_cast<unsigned long long>(row.spin_parks));
-  }
-
   std::string json = "  \"simd\": {\n    \"kernels\": {\n";
   for (size_t i = 0; i < kernels.size(); ++i) {
     json += "      \"" + std::string(kernels[i].name) +
@@ -731,56 +690,57 @@ std::string RunSimdComparison() {
             ", \"simd_seconds\": " + std::to_string(grid[i].simd_seconds) +
             "}" + (i + 1 < grid.size() ? ",\n" : "\n");
   }
-  json += "    },\n    \"queue\": {\n";
-  for (const QueueRow* row : {&mutex_row, &rings_row}) {
-    json += "      \"" + std::string(row->name) +
-            "\": {\"seconds\": " + std::to_string(row->seconds) +
-            ", \"spin_parks\": " + std::to_string(row->spin_parks) +
-            ", \"peak_queued_bytes\": " + std::to_string(row->peak_queued_bytes) +
-            "}" + (row == &mutex_row ? ",\n" : "\n");
-  }
   json += "    }\n  },\n";
   return json;
 }
 
-/// The comparison the acceptance criterion asks for: superkmer pass-1 must
-/// move a small fraction of the raw path's chunk bytes with identical
-/// surviving mers. Prints a table, writes BENCH_kmer.json, and returns the
-/// raw/superkmer chunk-byte ratio.
-double RunPass1EncodingComparison() {
+/// The comparison the acceptance criterion asks for: the super-k-mer
+/// counter, batch and streaming, must count exactly what the serial oracle
+/// counts while moving a small fraction of one 8-byte code per window.
+/// Prints a table, writes BENCH_kmer.json, and returns that code-bytes /
+/// chunk-bytes ratio.
+double RunCounterComparison() {
   unsigned threads = bench::BenchThreads();
   if (threads == 0) threads = std::thread::hardware_concurrency();
   const std::string simd_json = RunSimdComparison();
   bench::PrintHeader(
-      "bench_micro_kmer: pass-1 encoding (raw vs superkmer), HC-2-sim, "
+      "bench_micro_kmer: super-k-mer counter vs serial oracle, HC-2-sim, "
       "k=31 edge mers");
-  const EncodingMeasurement raw =
-      MeasureEncoding(Pass1Encoding::kRaw, threads);
-  const EncodingMeasurement sk =
-      MeasureEncoding(Pass1Encoding::kSuperkmer, threads);
+  Timer serial_timer;
+  KmerCountStats serial;
+  CountCanonicalMersSerial(Hc2Reads(), Hc2CountConfig(), &serial);
+  const double serial_seconds = serial_timer.Seconds();
+  const CounterMeasurement sk = MeasureCounter(threads);
 
-  std::printf("%-10s %12s %12s %8s %9s %9s %12s\n", "encoding", "windows",
-              "chunk_bytes", "B/win", "pass1_s", "pass2_s", "peak_queued");
-  for (const auto& [name, m] :
-       {std::pair<const char*, const EncodingMeasurement&>{"raw", raw},
-        {"superkmer", sk}}) {
-    std::printf("%-10s %12llu %12llu %8.2f %9.3f %9.3f %12llu\n", name,
-                static_cast<unsigned long long>(m.batch.total_windows),
-                static_cast<unsigned long long>(m.batch.shuffled_bytes),
-                BytesPerWindow(m.batch), m.batch.pass1_seconds,
-                m.batch.pass2_seconds,
-                static_cast<unsigned long long>(m.stream.peak_queued_bytes));
-  }
+  std::printf("serial    windows=%llu distinct=%llu surviving=%llu %.3fs\n",
+              static_cast<unsigned long long>(serial.total_windows),
+              static_cast<unsigned long long>(serial.distinct_mers),
+              static_cast<unsigned long long>(serial.surviving_mers),
+              serial_seconds);
+  std::printf(
+      "superkmer windows=%llu distinct=%llu surviving=%llu chunk_bytes=%llu "
+      "B/win=%.2f pass1=%.3fs pass2=%.3fs peak_queued=%llu\n",
+      static_cast<unsigned long long>(sk.batch.total_windows),
+      static_cast<unsigned long long>(sk.batch.distinct_mers),
+      static_cast<unsigned long long>(sk.batch.surviving_mers),
+      static_cast<unsigned long long>(sk.batch.shuffled_bytes),
+      BytesPerWindow(sk.batch), sk.batch.pass1_seconds,
+      sk.batch.pass2_seconds,
+      static_cast<unsigned long long>(sk.stream.peak_queued_bytes));
   const double ratio =
       sk.batch.shuffled_bytes == 0
           ? 0
-          : static_cast<double>(raw.batch.shuffled_bytes) /
+          : static_cast<double>(sk.batch.total_windows * sizeof(uint64_t)) /
                 static_cast<double>(sk.batch.shuffled_bytes);
-  const bool identical =
-      raw.batch.surviving_mers == sk.batch.surviving_mers &&
-      raw.batch.total_windows == sk.batch.total_windows;
-  std::printf("chunk-byte ratio raw/superkmer = %.2fx, surviving_mers %s\n",
-              ratio, identical ? "identical" : "MISMATCH");
+  auto same_counts = [&](const KmerCountStats& s) {
+    return s.total_windows == serial.total_windows &&
+           s.distinct_mers == serial.distinct_mers &&
+           s.surviving_mers == serial.surviving_mers;
+  };
+  const bool identical = same_counts(sk.batch) && same_counts(sk.stream);
+  std::printf(
+      "chunk-byte ratio 8B-codes/superkmer = %.2fx, counts vs serial %s\n",
+      ratio, identical ? "identical" : "MISMATCH");
 
   // Spill overhead: the streaming session with every chunk through disk
   // (--spill-mode always) vs fully memory-resident (never).
@@ -860,17 +820,21 @@ double RunPass1EncodingComparison() {
                                                  : "BENCH_kmer.json";
   std::ofstream out(json_path);
   out << "{\n"
-      << "  \"bench\": \"bench_micro_kmer.pass1_encoding\",\n"
+      << "  \"bench\": \"bench_micro_kmer.counter\",\n"
       << "  \"dataset\": \"HC-2-sim\",\n"
       << "  \"dataset_scale\": " << DatasetScaleFromEnv() << ",\n"
       << "  \"mer_length\": 32,\n"
       << "  \"minimizer_len\": " << sk.batch.minimizer_len << ",\n"
       << bench::JsonProvenanceFields()
       << "  \"threads\": " << threads << ",\n"
-      << simd_json;
-  WriteEncodingJson(out, "raw", raw);
-  out << ",\n";
-  WriteEncodingJson(out, "superkmer", sk);
+      << simd_json
+      << "  \"serial\": {\n"
+      << "    \"windows\": " << serial.total_windows << ",\n"
+      << "    \"distinct_mers\": " << serial.distinct_mers << ",\n"
+      << "    \"surviving_mers\": " << serial.surviving_mers << ",\n"
+      << "    \"seconds\": " << serial_seconds << "\n"
+      << "  },\n";
+  WriteCounterJson(out, sk);
   out << ",\n";
   WriteSpillJson(out, "spill_never", spill_never);
   out << ",\n";
@@ -894,7 +858,7 @@ double RunPass1EncodingComparison() {
       << "    \"trace_overhead\": " << trace_overhead << ",\n"
       << "    \"trace_processes\": " << trace_processes << "\n"
       << "  },\n"
-      << "  \"chunk_bytes_ratio_raw_over_superkmer\": " << ratio << ",\n"
+      << "  \"chunk_bytes_ratio_codes_over_superkmer\": " << ratio << ",\n"
       << "  \"spill_always_over_never_seconds\": " << spill_overhead << ",\n"
       << "  \"spill_surviving_mers_identical\": "
       << (spill_identical ? "true" : "false") << ",\n"
@@ -908,7 +872,7 @@ double RunPass1EncodingComparison() {
 }  // namespace ppa
 
 int main(int argc, char** argv) {
-  ppa::RunPass1EncodingComparison();
+  ppa::RunCounterComparison();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -49,19 +49,17 @@ bool ParseU64(const std::string& s, uint64_t* out) {
 
 /// The streaming-vs-in-memory selector and coverage knobs the report names.
 const char* CountingModeName(const AssembleCliOptions& opts) {
-  if (!opts.in_memory) return "stream";
-  return opts.assembler.sharded_kmer_counting ? "in-memory-sharded"
-                                              : "in-memory-serial";
+  return opts.in_memory ? "in-memory-sharded" : "stream";
 }
 
 /// The one rendering of ingest + counting metrics (both report modes),
-/// read from the run's registry snapshot. `mode`/`pass1` are the
-/// non-numeric facts the snapshot does not carry.
-void WriteIngestLines(std::ostream& out, const char* mode, const char* pass1,
+/// read from the run's registry snapshot. `mode` is the non-numeric fact
+/// the snapshot does not carry.
+void WriteIngestLines(std::ostream& out, const char* mode,
                       const obs::SnapshotView& s) {
   out << "reads=" << s.Get("ingest.reads") << " bases=" << s.Get("ingest.bases")
       << " batches=" << s.Get("ingest.batches") << '\n';
-  out << "counting: mode=" << mode << " pass1=" << pass1
+  out << "counting: mode=" << mode
       << " minimizer_len=" << s.Get("counting.minimizer_len")
       << " shards=" << s.Get("counting.shards")
       << " threads=" << s.Get("counting.threads")
@@ -72,9 +70,6 @@ void WriteIngestLines(std::ostream& out, const char* mode, const char* pass1,
       << " surviving=" << s.Get("counting.surviving")
       << " peak_queued_bytes=" << s.Get("counting.peak_queued_bytes")
       << " queue_bound_bytes=" << s.Get("counting.queue_bound_bytes")
-      << " queue_impl="
-      << QueueImplName(static_cast<QueueImpl>(s.Get("counting.queue_impl")))
-      << " queue_spin_parks=" << s.Get("counting.queue_spin_parks")
       << " spilled_bytes=" << s.Get("counting.spilled_bytes")
       << " readback_bytes=" << s.Get("counting.readback_bytes") << '\n';
 }
@@ -163,7 +158,7 @@ QuastReport EvaluateContigs(const AssembleCliOptions& opts,
 }
 
 void WriteReport(const AssembleCliOptions& opts, std::ostream& out,
-                 const obs::SnapshotView& s, const char* pass1,
+                 const obs::SnapshotView& s,
                  const std::string& ref_warning, const QuastReport& quast,
                  const std::vector<obs::TelemetrySnapshot>& workers,
                  double wall_seconds) {
@@ -171,7 +166,7 @@ void WriteReport(const AssembleCliOptions& opts, std::ostream& out,
   out << "inputs:";
   for (const std::string& path : opts.inputs) out << ' ' << path;
   out << '\n';
-  WriteIngestLines(out, CountingModeName(opts), pass1, s);
+  WriteIngestLines(out, CountingModeName(opts), s);
   out << "pipeline: jobs=" << s.Get("pipeline.jobs")
       << " supersteps=" << s.Get("pipeline.supersteps")
       << " messages=" << s.Get("pipeline.messages")
@@ -319,16 +314,10 @@ std::string AssembleCliUsage() {
       "\n"
       "counting options:\n"
       "  --shards INT        counting shards; 0 = auto\n"
-      "  --pass1-encoding superkmer|raw\n"
-      "                      pass-1 shuffle unit (default superkmer:\n"
-      "                      2-bit-packed minimizer-bucketed super-k-mers,\n"
-      "                      ~4-6x fewer shuffle bytes; raw = one 8-byte\n"
-      "                      code per window, the equivalence oracle —\n"
-      "                      both give identical contigs)\n"
-      "  --minimizer-len INT minimizer length for superkmer encoding,\n"
+      "  --minimizer-len INT minimizer length of the pass-1 super-k-mers,\n"
       "                      in [1, 31], clamped to k+1 (default 11)\n"
       "  --queue-bytes INT   bound on buffered pass-1 chunk bytes\n"
-      "                      (streaming; 0 = default 32 MB)\n"
+      "                      (streaming; 0 = default 4 MiB)\n"
       "  --in-memory         load all reads, use the in-memory pipeline\n"
       "\n"
       "memory budget & spilling:\n"
@@ -347,8 +336,6 @@ std::string AssembleCliUsage() {
       "                      (~100 KB) are floored to keep progress\n"
       "  --spill-dir PATH    parent directory for the run's spill files\n"
       "                      (default: system temp; removed after the run)\n"
-      "  --serial-counting   with --in-memory: single-thread reference "
-      "counter\n"
       "\n"
       "distributed execution:\n"
       "  --shard-workers INT spawn this many local ppa_shard_worker\n"
@@ -483,15 +470,6 @@ bool ParseAssembleCliArgs(int argc, const char* const* argv,
     } else if (arg == "--shards") {
       if (!need_value(i, arg) || !u64_flag(arg, argv[++i], &v)) return false;
       opts->assembler.kmer_shards = static_cast<uint32_t>(v);
-    } else if (arg == "--pass1-encoding") {
-      if (!need_value(i, arg)) return false;
-      const std::string value = argv[++i];
-      if (!ParsePass1Encoding(value, &opts->assembler.pass1_encoding)) {
-        *error =
-            "--pass1-encoding: expected 'raw' or 'superkmer', got '" + value +
-            "'";
-        return false;
-      }
     } else if (arg == "--minimizer-len") {
       if (!need_value(i, arg) || !u64_flag(arg, argv[++i], &v)) return false;
       // Range-check the full 64-bit value so out-of-range inputs cannot
@@ -546,8 +524,6 @@ bool ParseAssembleCliArgs(int argc, const char* const* argv,
       opts->assembler.fault_plan = value;
     } else if (arg == "--in-memory") {
       opts->in_memory = true;
-    } else if (arg == "--serial-counting") {
-      opts->assembler.sharded_kmer_counting = false;
     } else if (arg == "--batch-reads") {
       if (!need_value(i, arg) || !u64_flag(arg, argv[++i], &v)) return false;
       opts->stream.batch_reads = static_cast<size_t>(v);
@@ -611,11 +587,6 @@ bool ParseAssembleCliArgs(int argc, const char* const* argv,
   }
   if (opts->inputs.empty()) {
     *error = "no input files (see --help)";
-    return false;
-  }
-  if (!opts->in_memory && !opts->assembler.sharded_kmer_counting) {
-    *error = "--serial-counting requires --in-memory (streaming counting is "
-             "always sharded)";
     return false;
   }
   // Range-check here so bad values are a usage error (exit 2), not a
@@ -740,8 +711,7 @@ int RunAssembleCli(const AssembleCliOptions& opts, std::ostream& out,
 
       report << "== ppa_assemble report ==\n"
              << "mode: dbg-only\n";
-      WriteIngestLines(report, "stream",
-                       Pass1EncodingName(dbg.count_stats.encoding), snapshot);
+      WriteIngestLines(report, "stream", snapshot);
       WriteSpillLine(report, assembler_options.spill_mode, snapshot);
       report << "dbg: kmer_vertices=" << snapshot.Get("dbg.kmer_vertices")
              << " wall_seconds=" << data.wall_seconds << '\n';
@@ -749,7 +719,6 @@ int RunAssembleCli(const AssembleCliOptions& opts, std::ostream& out,
 
       if (write_json) {
         info.counting_mode = "stream";
-        info.pass1_encoding = Pass1EncodingName(dbg.count_stats.encoding);
         info.shuffle_strategy =
             ShuffleStrategyName(assembler_options.shuffle_strategy);
         info.spill_mode = SpillModeName(assembler_options.spill_mode);
@@ -805,13 +774,11 @@ int RunAssembleCli(const AssembleCliOptions& opts, std::ostream& out,
       const obs::SnapshotView snapshot(registry.Snapshot());
 
       worker_traces = std::move(result.worker_traces);
-      WriteReport(opts, report, snapshot,
-                  Pass1EncodingName(result.count_stats.encoding), ref_warning,
-                  quast, result.worker_telemetry, wall_seconds);
+      WriteReport(opts, report, snapshot, ref_warning, quast,
+                  result.worker_telemetry, wall_seconds);
 
       if (write_json) {
         info.counting_mode = CountingModeName(opts);
-        info.pass1_encoding = Pass1EncodingName(result.count_stats.encoding);
         info.shuffle_strategy =
             ShuffleStrategyName(opts.assembler.shuffle_strategy);
         info.spill_mode = SpillModeName(opts.assembler.spill_mode);

@@ -55,11 +55,9 @@ AssemblyResult Assembler::Assemble(const std::vector<Read>& reads,
   // spill store ("spill to cluster memory").
   std::unique_ptr<NetContext> net_guard = WireNetContext(&options);
   // ---- (1) DBG construction. ----------------------------------------------
-  PPA_LOG(kInfo) << "k-mer counting: "
-                 << (options.sharded_kmer_counting ? "sharded" : "serial")
+  PPA_LOG(kInfo) << "k-mer counting: sharded"
                  << " (threads=" << options.num_threads
                  << ", shards=" << options.kmer_shards << "; 0 = auto)"
-                 << ", pass1=" << Pass1EncodingName(options.pass1_encoding)
                  << ", shuffle="
                  << ShuffleStrategyName(options.shuffle_strategy)
                  << ", spill=" << SpillModeName(options.spill_mode);
@@ -95,7 +93,6 @@ AssemblyResult Assembler::Assemble(ReadStream& reads,
   PPA_LOG(kInfo) << "k-mer counting: streaming sharded"
                  << " (threads=" << options.num_threads
                  << ", shards=" << options.kmer_shards
-                 << ", pass1=" << Pass1EncodingName(options.pass1_encoding)
                  << ", queue_bytes=" << options.kmer_queue_bytes
                  << "; 0 = auto)"
                  << ", spill=" << SpillModeName(options.spill_mode);

@@ -55,7 +55,6 @@ KmerCountConfig MakeCountConfig(const AssemblerOptions& options) {
   count_config.num_threads = options.num_threads;
   count_config.num_shards = options.kmer_shards;
   count_config.coverage_threshold = options.coverage_threshold;
-  count_config.pass1_encoding = options.pass1_encoding;
   count_config.minimizer_len = static_cast<int>(options.minimizer_len);
   count_config.spill = options.spill_context;
   count_config.net = options.net_context;
@@ -164,17 +163,12 @@ DbgResult BuildDbg(const std::vector<Read>& reads,
   options.Validate();
 
   // ---- Phase (i): (k+1)-mer counting + coverage filter. -------------------
-  // Sharded parallel counting by default; the serial reference counter is
-  // the fallback (and the equivalence oracle in tests). Both apply the
-  // coverage filter as count >= theta, so theta = 1 means "no filtering"
-  // (documented in options.h), and both route survivors by
-  // Mix64(code) % W, which phase (ii)'s shuffle relies on.
-  const KmerCountConfig count_config = MakeCountConfig(options);
+  // The coverage filter is count >= theta, so theta = 1 means "no
+  // filtering", and survivors are routed by Mix64(code) % W, which phase
+  // (ii)'s shuffle relies on.
   KmerCountStats count_stats;
   Partitioned<std::pair<uint64_t, uint32_t>> edge_mers =
-      options.sharded_kmer_counting
-          ? CountCanonicalMers(reads, count_config, &count_stats)
-          : CountCanonicalMersSerial(reads, count_config, &count_stats);
+      CountCanonicalMers(reads, MakeCountConfig(options), &count_stats);
   return BuildDbgFromEdgeMers(std::move(edge_mers), std::move(count_stats),
                               options, stats);
 }

@@ -2,10 +2,8 @@
 //
 // Two mini MapReduce phases:
 //   Phase (i): reads are split at 'N' characters, each fragment is cut into
-//   (k+1)-mers with a sliding window; (k+1)-mers are counted — by default
-//   with the two-pass sharded parallel counter (dbg/kmer_counter.h), or by
-//   its single-thread serial reference when
-//   AssemblerOptions::sharded_kmer_counting is false — and those with
+//   (k+1)-mers with a sliding window; (k+1)-mers are counted with the
+//   two-pass sharded parallel counter (dbg/kmer_counter.h), and those with
 //   coverage below coverage_threshold are filtered out as likely erroneous.
 //   Phase (ii): each surviving (k+1)-mer emits adjacency contributions to
 //   its canonical prefix and suffix k-mer vertices; the reducer assembles

@@ -28,21 +28,16 @@ struct AssemblerOptions {
   int error_correction_rounds = 1;   // times operations 4,5 run (paper: 1).
 
   // (k+1)-mer counting (DBG construction phase (i), dbg/kmer_counter.h).
-  bool sharded_kmer_counting = true;  // false = single-thread serial counter.
-  uint32_t kmer_shards = 0;           // counting shards; 0 = auto (4x threads),
-                                      // rounded up to a power of two and
-                                      // capped at 1024.
-  uint64_t kmer_queue_bytes = 0;      // streaming ingestion only: bound on
-                                      // chunk bytes buffered between scanners
-                                      // and shard counters (backpressure);
-                                      // 0 = CounterSession default (32 MB).
-
-  // Pass-1 shuffle encoding of the sharded counter. kSuperkmer ships
-  // 2-bit-packed minimizer-bucketed super-k-mers (~4-6x fewer bytes than
-  // kRaw's 8-byte codes); kRaw is the equivalence oracle — both produce
-  // bit-identical counts and contigs. minimizer_len is clamped internally
-  // to min(minimizer_len, k + 1, 31).
-  Pass1Encoding pass1_encoding = Pass1Encoding::kSuperkmer;
+  uint32_t kmer_shards = 0;       // counting shards; 0 = auto (4x threads),
+                                  // rounded up to a power of two and capped
+                                  // at 1024.
+  uint64_t kmer_queue_bytes = 0;  // streaming ingestion only: bound on chunk
+                                  // bytes buffered between scanners and
+                                  // shard counters (backpressure); 0 =
+                                  // CounterSession default (4 MiB).
+  // Pass 1 ships 2-bit-packed minimizer-bucketed super-k-mers; the
+  // minimizer length is clamped internally to min(minimizer_len, k + 1,
+  // 31).
   uint32_t minimizer_len = 11;
 
   // MapReduce shuffle (every grouping operation: DBG construction phase

@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
 #include <stdexcept>
-#include <string_view>
 #include <thread>
 #include <unordered_map>
 
@@ -23,7 +21,6 @@
 #include "spill/spill.h"
 #include "util/hash.h"
 #include "util/logging.h"
-#include "util/mpsc_ring.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 #include "util/varint.h"
@@ -38,24 +35,14 @@ namespace {
 constexpr uint64_t kEmptySlot = ~0ULL;
 
 // Payload appended per (thread, shard) chunk before it is moved into the
-// shard's queue. Large enough that the per-shard mutex is touched once per
-// tens of kilobytes, small enough to stay cache-resident. Raw chunks flush
-// at kFlushCodes codes (= kFlushChunkBytes); super-k-mer chunks flush at
-// the first record that reaches kFlushChunkBytes, so a chunk never exceeds
+// shard's queue. Large enough that the queue mutex is touched once per
+// tens of kilobytes, small enough to stay cache-resident. A chunk flushes
+// at the first record that reaches kFlushChunkBytes, so it never exceeds
 // kFlushChunkBytes + kMaxSuperkmerRecordBytes.
-constexpr size_t kFlushCodes = 4096;
-constexpr size_t kFlushChunkBytes = kFlushCodes * sizeof(uint64_t);
+constexpr size_t kFlushChunkBytes = 32 << 10;
 
 // Reads claimed per grab of the shared cursor in pass 1.
 constexpr size_t kReadBlock = 256;
-
-// Ring-queue shape (QueueImpl::kRings). 64 slots per shard bounds ring
-// memory at ~6 KB/shard of cell headers while holding far more chunk
-// bytes than the session byte bound admits; the spin budget is how long a
-// thread burns on a full/empty ring before parking on the session condvar
-// (each park is one counting.queue_spin tick).
-constexpr size_t kRingCapacity = 64;
-constexpr int kQueueSpinIters = 64;
 
 uint64_t NextPow2(uint64_t x) { return std::bit_ceil(std::max<uint64_t>(x, 1)); }
 
@@ -63,10 +50,10 @@ int EffectiveMinimizerLen(const KmerCountConfig& config) {
   return std::min({config.minimizer_len, config.mer_length, 31});
 }
 
-/// Shared scanning semantics of both counters: cut `read` into canonical
+/// The definitional scan the serial counter runs: cut `read` into canonical
 /// mers, splitting at non-ACGT bases (Sec. IV.B-1), and call fn(code) for
-/// each. Keeping this in one place is what makes the serial counter a
-/// definitionally identical oracle for the sharded one.
+/// each. The sharded counters reach the same window multiset through
+/// super-k-mers (dna/superkmer.h), so the serial counter is their oracle.
 template <typename Fn>
 void ScanCanonicalMers(const Read& read, KmerWindow& window, Fn&& fn) {
   window.Reset();
@@ -82,96 +69,59 @@ void ScanCanonicalMers(const Read& read, KmerWindow& window, Fn&& fn) {
   }
 }
 
-/// ScanCanonicalMers over pre-classified 2-bit codes (dna/encode_simd.h;
-/// values > 3 = invalid base). Identical window sequence by construction —
-/// ClassifyBases is byte-for-byte BaseFromChar — so the char-based form
-/// above stays the definitional oracle (the serial counter runs it) while
-/// the sharded hot path consumes vectorized classifications.
-template <typename Fn>
-void ScanCanonicalMerCodes(const uint8_t* codes, size_t size,
-                           KmerWindow& window, Fn&& fn) {
-  window.Reset();
-  for (size_t i = 0; i < size; ++i) {
-    if (codes[i] > 3) {
-      window.Reset();
-      continue;
-    }
-    if (window.Push(codes[i])) {
-      fn(window.Current().Canonical().code());
-    }
-  }
-}
-
-/// One flushed pass-1 buffer. Exactly one payload is populated: `codes`
-/// under Pass1Encoding::kRaw, `packed` (back-to-back superkmer records)
-/// under kSuperkmer.
+/// One flushed pass-1 buffer: back-to-back super-k-mer records.
 struct Pass1Chunk {
-  std::vector<uint64_t> codes;
   std::vector<uint8_t> packed;
   uint64_t windows = 0;  // canonical windows this chunk carries
-  uint64_t records = 0;  // shipped units (codes, or super-k-mer records)
+  uint64_t records = 0;  // super-k-mer records in `packed`
 
-  size_t SizeBytes() const {
-    return codes.size() * sizeof(uint64_t) + packed.size();
-  }
+  size_t SizeBytes() const { return packed.size(); }
 };
 
-/// Serialized spill-record payload of one Pass1Chunk:
+/// Serialized payload of one Pass1Chunk — the spill record, the journal
+/// entry and the kCounterChunk body after its shard varint:
 ///
-///   varint(windows) varint(records)
-///   varint(#codes)  #codes x 8-byte little-endian canonical codes
-///   varint(#packed) packed super-k-mer bytes
+///   varint(windows) varint(records) packed super-k-mer bytes
 ///
-/// Framing (length, CRC) is the spill store's job; this is just the chunk.
+/// The packed bytes run to the end of the payload; framing (length, CRC)
+/// is the carrier's job.
 std::vector<uint8_t> EncodePass1Chunk(const Pass1Chunk& chunk) {
   std::vector<uint8_t> payload;
-  payload.reserve(chunk.SizeBytes() + 4 * 10);
+  payload.reserve(chunk.SizeBytes() + 2 * 10);
   PutVarint64(&payload, chunk.windows);
   PutVarint64(&payload, chunk.records);
-  PutVarint64(&payload, chunk.codes.size());
-  for (uint64_t code : chunk.codes) {
-    for (int b = 0; b < 8; ++b) {
-      payload.push_back(static_cast<uint8_t>(code >> (8 * b)));
-    }
-  }
-  PutVarint64(&payload, chunk.packed.size());
   payload.insert(payload.end(), chunk.packed.begin(), chunk.packed.end());
   return payload;
 }
 
-bool DecodePass1Chunk(const uint8_t* data, size_t size, Pass1Chunk* chunk) {
+/// A serialized payload's header, with its packed bytes viewed in place.
+struct Pass1Payload {
+  uint64_t windows = 0;
+  uint64_t records = 0;
+  const uint8_t* packed = nullptr;
+  size_t packed_size = 0;
+};
+
+bool ParsePass1Payload(const uint8_t* data, size_t size, Pass1Payload* out) {
   size_t pos = 0;
-  uint64_t n = 0;
-  if (!GetVarint64(data, size, &pos, &chunk->windows)) return false;
-  if (!GetVarint64(data, size, &pos, &chunk->records)) return false;
-  if (!GetVarint64(data, size, &pos, &n)) return false;
-  if (n > (size - pos) / sizeof(uint64_t)) return false;
-  chunk->codes.clear();
-  chunk->codes.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    uint64_t code = 0;
-    for (int b = 0; b < 8; ++b) {
-      code |= static_cast<uint64_t>(data[pos++]) << (8 * b);
-    }
-    chunk->codes.push_back(code);
+  if (!GetVarint64(data, size, &pos, &out->windows) ||
+      !GetVarint64(data, size, &pos, &out->records)) {
+    return false;
   }
-  if (!GetVarint64(data, size, &pos, &n)) return false;
-  if (n != size - pos) return false;  // packed bytes must end the record
-  chunk->packed.assign(data + pos, data + size);
+  out->packed = data + pos;
+  out->packed_size = size - pos;
   return true;
 }
 
-/// Replays a chunk's canonical codes into the given consumer — the one
-/// place pass 2 undoes what pass 1 encoded.
+/// Replays packed super-k-mer bytes as canonical codes into the given
+/// consumer — the one place pass 2 undoes what pass 1 encoded. For bytes
+/// this process wrote (queued chunks, CRC-checked spill records, its own
+/// journal) a decode failure is a program invariant violation, not an input
+/// error; bytes from a socket go through ShardCounterBank instead.
 template <typename Fn>
-void ForEachChunkCode(const Pass1Chunk& chunk, int mer_length, Fn&& fn) {
-  for (uint64_t code : chunk.codes) fn(code);
-  if (!chunk.packed.empty()) {
-    // Chunks never leave this process, so a decode failure is a program
-    // invariant violation, not an input error.
-    PPA_CHECK(DecodeSuperkmers(chunk.packed.data(), chunk.packed.size(),
-                               mer_length, fn));
-  }
+void ForEachChunkCode(const uint8_t* packed, size_t size, int mer_length,
+                      Fn&& fn) {
+  PPA_CHECK(DecodeSuperkmers(packed, size, mer_length, fn));
 }
 
 /// One shard's open-addressing (linear probing) count table. Keys are
@@ -207,6 +157,13 @@ class CountTable {
   }
 
   uint64_t size() const { return size_; }
+
+  /// Frees the table's storage; only size() stays valid afterwards.
+  void Release() {
+    std::vector<uint64_t>().swap(keys_);
+    std::vector<uint32_t>().swap(counts_);
+    capacity_ = mask_ = 0;
+  }
 
   /// Visits every (code, count) entry.
   template <typename Fn>
@@ -267,15 +224,13 @@ Plan MakePlan(const KmerCountConfig& config) {
 }
 
 /// Per-thread pass-1 state shared by the batch counter and CounterSession:
-/// cuts reads into per-shard chunks under the configured encoding and hands
-/// full chunks to a sink (which locks/queues them). The per-base hot path
-/// touches only thread-local state.
+/// cuts reads into super-k-mers, appends each to its shard's chunk and
+/// hands full chunks to a sink (which locks/queues them). The per-base hot
+/// path touches only thread-local state.
 class Pass1Scanner {
  public:
   Pass1Scanner(const KmerCountConfig& config, const Plan& plan)
-      : config_(config),
-        plan_(plan),
-        window_(config.mer_length),
+      : plan_(plan),
         sk_scanner_(config.mer_length, config.minimizer_len),
         local_(plan.shards) {}
 
@@ -299,19 +254,7 @@ class Pass1Scanner {
       ClassifyBases(read.bases.data(), read.bases.size(), codes_.data());
       codes = codes_.data();
     }
-    const size_t n = read.bases.size();
-    if (config_.pass1_encoding == Pass1Encoding::kRaw) {
-      ScanCanonicalMerCodes(codes, n, window_, [&](uint64_t code) {
-        const uint32_t s = ShardOf(Mix64(code));
-        ++windows_;
-        local_[s].codes.push_back(code);
-        if (local_[s].codes.size() >= kFlushCodes) {
-          Flush(s, /*refill=*/true, sink);
-        }
-      });
-      return;
-    }
-    sk_scanner_.ScanCodes(codes, n, [&](const Superkmer& sk) {
+    sk_scanner_.ScanCodes(codes, read.bases.size(), [&](const Superkmer& sk) {
       const uint32_t s = ShardOf(sk.minimizer_hash);
       Pass1Chunk& chunk = local_[s];
       AppendSuperkmerCodes(codes + sk.base_offset, sk.base_length,
@@ -344,30 +287,18 @@ class Pass1Scanner {
   template <typename Sink>
   void Flush(uint32_t s, bool refill, Sink&& sink) {
     Pass1Chunk chunk = std::move(local_[s]);
-    if (chunk.codes.size() != 0) {
-      // Raw chunks tally at flush time — one code is one window is one
-      // shipped unit.
-      chunk.windows = chunk.codes.size();
-      chunk.records = chunk.codes.size();
-    }
     local_[s] = Pass1Chunk{};
     // Buffers start unreserved: with S buffers per thread, eager reserves
     // would cost threads x shards x 32 KB before any input is seen. Only a
     // buffer that actually filled once gets the full-size replacement, and
     // the final drain never writes one.
     if (refill) {
-      if (config_.pass1_encoding == Pass1Encoding::kRaw) {
-        local_[s].codes.reserve(kFlushCodes);
-      } else {
-        local_[s].packed.reserve(kFlushChunkBytes + kMaxSuperkmerRecordBytes);
-      }
+      local_[s].packed.reserve(kFlushChunkBytes + kMaxSuperkmerRecordBytes);
     }
     sink(s, std::move(chunk));
   }
 
-  const KmerCountConfig& config_;
   const Plan& plan_;
-  KmerWindow window_;
   SuperkmerScanner sk_scanner_;
   std::vector<uint8_t> codes_;  // per-read classify buffer, reused
   std::vector<Pass1Chunk> local_;
@@ -376,24 +307,18 @@ class Pass1Scanner {
   uint64_t superkmers_ = 0;
 };
 
-/// Fills the encoding/shuffle-volume fields shared by the batch counter and
+/// Fills the shuffle-volume fields shared by the batch counter and
 /// CounterSession from the per-shard measurements.
 void FillShardStats(const KmerCountConfig& config, KmerCountStats* stats,
                     std::vector<uint64_t> shard_windows,
                     std::vector<uint64_t> shard_bytes,
                     std::vector<uint64_t> shard_messages,
                     uint64_t superkmers) {
-  stats->encoding = config.pass1_encoding;
   for (uint64_t b : shard_bytes) stats->shuffled_bytes += b;
-  if (config.pass1_encoding == Pass1Encoding::kRaw) {
-    stats->shuffled_messages = stats->total_windows;
-    stats->message_size = sizeof(uint64_t);
-  } else {
-    stats->minimizer_len = EffectiveMinimizerLen(config);
-    stats->superkmers = superkmers;
-    stats->shuffled_messages = superkmers;
-    stats->message_size = 0;  // variable-size records; see shuffled_bytes
-  }
+  stats->minimizer_len = EffectiveMinimizerLen(config);
+  stats->superkmers = superkmers;
+  stats->shuffled_messages = superkmers;
+  stats->message_size = 0;  // variable-size records; see shuffled_bytes
   stats->shard_windows = std::move(shard_windows);
   stats->shard_bytes = std::move(shard_bytes);
   stats->shard_messages = std::move(shard_messages);
@@ -462,7 +387,8 @@ MerCounts CountCanonicalMers(const std::vector<Read>& reads,
     // turns out more diverse.
     CountTable table(windows / 4 + 16);
     for (const Pass1Chunk& chunk : shards[s].chunks) {
-      ForEachChunkCode(chunk, config.mer_length,
+      ForEachChunkCode(chunk.packed.data(), chunk.packed.size(),
+                       config.mer_length,
                        [&](uint64_t code) { table.Add(code); });
     }
     shards[s].chunks.clear();
@@ -565,20 +491,6 @@ struct CounterSession::Impl {
   // counter thread owning shard s (s % num_counters), never under mu.
   std::vector<CountTable> tables;
 
-  // Ring-queue path (QueueImpl::kRings, in-memory sessions only): one
-  // lock-free MPSC ring per shard replaces pending/pending_bytes, and the
-  // byte accounting moves to atomics. mu + the condvars below are then
-  // used only for parking after the spin budget runs out — never to move
-  // a chunk.
-  bool use_rings = false;
-  std::vector<std::unique_ptr<MpscRing<Pass1Chunk>>> rings;
-  std::atomic<uint64_t> ring_queued_bytes{0};
-  std::atomic<uint64_t> ring_peak_queued_bytes{0};
-  std::atomic<uint32_t> not_full_waiters{0};
-  std::atomic<uint32_t> not_empty_waiters{0};
-  std::atomic<uint64_t> queue_spin_parks{0};
-  std::atomic<bool> finishing_flag{false};
-
   std::mutex mu;
   std::condition_variable not_full;   // scanners wait here (backpressure)
   std::condition_variable not_empty;  // counters wait here
@@ -629,17 +541,6 @@ struct CounterSession::Impl {
     num_counters = distributed || (spilling && spill->mode == SpillMode::kAlways)
                        ? 0
                        : std::min<unsigned>(plan.threads, plan.shards);
-    // Rings only serve the pure in-memory path: spill admission needs the
-    // session-wide queue view (TakeLargestLocked) and distributed chunks
-    // never enter a local queue at all.
-    use_rings = config.queue_impl == QueueImpl::kRings && !spilling &&
-                !distributed && num_counters > 0;
-    if (use_rings) {
-      rings.reserve(plan.shards);
-      for (uint32_t s = 0; s < plan.shards; ++s) {
-        rings.push_back(std::make_unique<MpscRing<Pass1Chunk>>(kRingCapacity));
-      }
-    }
     tables.reserve(plan.shards);
     for (uint32_t s = 0; s < plan.shards; ++s) {
       // Streaming has no per-shard window total to size from; start small
@@ -692,121 +593,7 @@ struct CounterSession::Impl {
     }
     counters.reserve(num_counters);
     for (unsigned c = 0; c < num_counters; ++c) {
-      counters.emplace_back(
-          [this, c] { use_rings ? CounterLoopRings(c) : CounterLoop(c); });
-    }
-  }
-
-  // Spin-then-park for the ring path: spins re-checking `ready`, then
-  // parks on `cv` for at most 1 ms. The predicate reads atomics that are
-  // not written under mu, so an untimed wait could sleep through a wakeup
-  // that slipped between check and park; the timed wait bounds that race
-  // at 1 ms instead of making every hot-path update take the lock. Each
-  // park ticks counting.queue_spin — the contention signal the bench
-  // grids record.
-  template <typename Pred>
-  void RingWait(std::condition_variable& cv, std::atomic<uint32_t>& waiters,
-                Pred&& ready) {
-    for (int i = 0; i < kQueueSpinIters; ++i) {
-      if (ready()) return;
-      std::this_thread::yield();
-    }
-    queue_spin_parks.fetch_add(1, std::memory_order_relaxed);
-    static obs::Counter* spin_metric =
-        obs::MetricsRegistry::Global().GetCounter("counting.queue_spin");
-    spin_metric->Add(1);
-    std::unique_lock<std::mutex> lock(mu);
-    waiters.fetch_add(1, std::memory_order_relaxed);
-    cv.wait_for(lock, std::chrono::milliseconds(1), ready);
-    waiters.fetch_sub(1, std::memory_order_relaxed);
-  }
-
-  // Ring-path enqueue: byte admission by CAS (same invariant as the mutex
-  // path — admit when under the bound, or unconditionally when nothing is
-  // queued, so progress is guaranteed for any single chunk), then a
-  // lock-free push into the shard's ring.
-  void EnqueueRing(uint32_t s, Pass1Chunk&& chunk) {
-    const uint64_t n = chunk.SizeBytes();
-    PPA_TRACE_SPAN_V("queue_wait", "count", n);
-    uint64_t cur = ring_queued_bytes.load(std::memory_order_relaxed);
-    for (;;) {
-      if (cur == 0 || cur + n <= bound) {
-        if (ring_queued_bytes.compare_exchange_weak(
-                cur, cur + n, std::memory_order_relaxed)) {
-          break;
-        }
-        continue;  // CAS refreshed cur; re-evaluate the admission test
-      }
-      RingWait(not_full, not_full_waiters, [&] {
-        const uint64_t q = ring_queued_bytes.load(std::memory_order_relaxed);
-        return q == 0 || q + n <= bound;
-      });
-      cur = ring_queued_bytes.load(std::memory_order_relaxed);
-    }
-    uint64_t peak = ring_peak_queued_bytes.load(std::memory_order_relaxed);
-    while (cur + n > peak &&
-           !ring_peak_queued_bytes.compare_exchange_weak(
-               peak, cur + n, std::memory_order_relaxed)) {
-    }
-    while (!rings[s]->TryPush(std::move(chunk))) {
-      RingWait(not_full, not_full_waiters, [&] { return !rings[s]->Full(); });
-    }
-    if (not_empty_waiters.load(std::memory_order_relaxed) != 0) {
-      // Taking mu pairs the notify with the waiter's locked predicate
-      // check; the waiter's wait_for bounds anything that still slips.
-      std::lock_guard<std::mutex> lock(mu);
-      not_empty.notify_all();
-    }
-  }
-
-  // Drains every ring owned by counter c into its tables. Returns whether
-  // any chunk was processed.
-  bool DrainOwnedRings(unsigned c) {
-    bool worked = false;
-    for (uint32_t s = c; s < plan.shards; s += num_counters) {
-      Pass1Chunk chunk;
-      while (rings[s]->TryPop(&chunk)) {
-        const uint64_t n = chunk.SizeBytes();
-        {
-          PPA_TRACE_SPAN_V("count_chunk", "count", n);
-          ForEachChunkCode(chunk, config.mer_length,
-                           [&](uint64_t code) { tables[s].Add(code); });
-        }
-        // In ring mode the per-shard ledgers are owned by this consumer
-        // (the mutex path updates them producer-side under mu); totals at
-        // Finish are identical, with no atomics on the vectors.
-        shard_windows[s] += chunk.windows;
-        shard_bytes[s] += n;
-        shard_messages[s] += chunk.records;
-        ring_queued_bytes.fetch_sub(n, std::memory_order_relaxed);
-        if (not_full_waiters.load(std::memory_order_relaxed) != 0) {
-          std::lock_guard<std::mutex> lock(mu);
-          not_full.notify_all();
-        }
-        worked = true;
-      }
-    }
-    return worked;
-  }
-
-  void CounterLoopRings(unsigned c) {
-    obs::SetTraceThreadName("counter");
-    for (;;) {
-      if (DrainOwnedRings(c)) continue;
-      if (finishing_flag.load(std::memory_order_acquire)) {
-        // Every AddBatch returned before Finish set the flag, so all
-        // pushes happen-before this load observes it; one more drain
-        // catches anything that raced the empty sweep above.
-        DrainOwnedRings(c);
-        return;
-      }
-      RingWait(not_empty, not_empty_waiters, [&] {
-        if (finishing_flag.load(std::memory_order_acquire)) return true;
-        for (uint32_t s = c; s < plan.shards; s += num_counters) {
-          if (!rings[s]->Empty()) return true;
-        }
-        return false;
-      });
+      counters.emplace_back([this, c] { CounterLoop(c); });
     }
   }
 
@@ -1007,10 +794,6 @@ struct CounterSession::Impl {
       EnqueueNet(s, std::move(chunk));
       return;
     }
-    if (use_rings) {
-      EnqueueRing(s, std::move(chunk));
-      return;
-    }
     const uint64_t n = chunk.SizeBytes();
     PPA_TRACE_SPAN_V("queue_wait", "count", n);
     std::unique_lock<std::mutex> lock(mu);
@@ -1074,7 +857,8 @@ struct CounterSession::Impl {
           lock.unlock();
           {
             PPA_TRACE_SPAN_V("count_chunk", "count", chunk.SizeBytes());
-            ForEachChunkCode(chunk, config.mer_length,
+            ForEachChunkCode(chunk.packed.data(), chunk.packed.size(),
+                             config.mer_length,
                              [&](uint64_t code) { tables[s].Add(code); });
           }
           lock.lock();
@@ -1278,21 +1062,22 @@ struct CounterSession::Impl {
       std::vector<std::string> replay_errors(S);
       pool.Run(S, [&](uint32_t s) {
         if (shard_sealed[s]) return;
-        Pass1Chunk chunk;
         std::string jerr;
         const bool ok = journal->Replay(
             s,
             [&](const std::vector<uint8_t>& payload) {
               if (!replay_errors[s].empty()) return;
-              if (!DecodePass1Chunk(payload.data(), payload.size(),
-                                    &chunk)) {
+              Pass1Payload chunk;
+              if (!ParsePass1Payload(payload.data(), payload.size(),
+                                     &chunk)) {
                 replay_errors[s] =
                     "degraded-local replay found a malformed journal chunk "
                     "for shard " +
                     std::to_string(s);
                 return;
               }
-              ForEachChunkCode(chunk, config.mer_length,
+              ForEachChunkCode(chunk.packed, chunk.packed_size,
+                               config.mer_length,
                                [&](uint64_t code) { tables[s].Add(code); });
             },
             &jerr);
@@ -1304,6 +1089,7 @@ struct CounterSession::Impl {
             shard_out[s][Mix64(code) % W].emplace_back(code, count);
           }
         });
+        tables[s].Release();
         shard_sealed[s] = true;
       });
       for (const std::string& error : replay_errors) {
@@ -1377,7 +1163,6 @@ CounterSession::~CounterSession() {
   {
     std::lock_guard<std::mutex> lock(impl_->mu);
     impl_->finishing = true;
-    impl_->finishing_flag.store(true, std::memory_order_release);
     impl_->not_empty.notify_all();
   }
   for (auto& t : impl_->counters) t.join();
@@ -1415,7 +1200,6 @@ MerCounts CounterSession::Finish(KmerCountStats* stats) {
   {
     std::lock_guard<std::mutex> lock(impl.mu);
     impl.finishing = true;
-    impl.finishing_flag.store(true, std::memory_order_release);
     impl.not_empty.notify_all();
   }
   for (auto& t : impl.counters) t.join();
@@ -1445,15 +1229,16 @@ MerCounts CounterSession::Finish(KmerCountStats* stats) {
       PPA_TRACE_SPAN("spill.readback", "spill");
       SpillReader reader = impl.spill->manager.OpenReader(impl.spill_file[s]);
       std::vector<uint8_t> payload;
-      Pass1Chunk chunk;
+      Pass1Payload chunk;
       while (reader.Next(&payload)) {
-        if (!DecodePass1Chunk(payload.data(), payload.size(), &chunk)) {
+        if (!ParsePass1Payload(payload.data(), payload.size(), &chunk)) {
           readback_errors[s] = "spill readback failed: malformed Pass1Chunk "
                                "record in " +
                                impl.spill->manager.FilePath(impl.spill_file[s]);
           return;
         }
-        ForEachChunkCode(chunk, impl.config.mer_length,
+        ForEachChunkCode(chunk.packed, chunk.packed_size,
+                         impl.config.mer_length,
                          [&](uint64_t code) { impl.tables[s].Add(code); });
         ++readback_chunks[s];
         readback_bytes[s] += payload.size();
@@ -1480,6 +1265,9 @@ MerCounts CounterSession::Finish(KmerCountStats* stats) {
         shard_out[s][Mix64(code) % W].emplace_back(code, count);
       }
     });
+    // The survivors are routed; the table would otherwise live as long as
+    // the session, beside the caller's phase-2 work.
+    impl.tables[s].Release();
   });
   for (const std::string& error : readback_errors) {
     if (!error.empty()) throw std::runtime_error(error);
@@ -1512,13 +1300,8 @@ MerCounts CounterSession::Finish(KmerCountStats* stats) {
                    std::move(impl.shard_bytes),
                    std::move(impl.shard_messages),
                    impl.total_superkmers.load());
-    stats->peak_queued_bytes = impl.use_rings
-                                   ? impl.ring_peak_queued_bytes.load()
-                                   : impl.peak_queued_bytes;
+    stats->peak_queued_bytes = impl.peak_queued_bytes;
     stats->queue_bound_bytes = impl.bound;
-    stats->queue_impl =
-        impl.use_rings ? QueueImpl::kRings : QueueImpl::kMutex;
-    stats->queue_spin_parks = impl.queue_spin_parks.load();
     for (uint32_t s = 0; s < S; ++s) {
       stats->spilled_chunks += impl.shard_spilled[s];
       if (impl.shard_spilled[s] != 0) ++stats->spill_files;
@@ -1571,7 +1354,6 @@ MerCounts CountCanonicalMersSerial(const std::vector<Read>& reads,
     stats->pass2_seconds = timer.Seconds();
     // Seed shuffle model: one locally pre-aggregated (code, count) pair per
     // distinct mer.
-    stats->encoding = Pass1Encoding::kRaw;
     stats->shuffled_messages = counts.size();
     stats->message_size = sizeof(std::pair<uint64_t, uint32_t>);
     stats->shuffled_bytes = stats->shuffled_messages * stats->message_size;
@@ -1691,8 +1473,8 @@ bool ShardCounterBank::AddChunkPayload(uint32_t shard, const uint8_t* data,
              std::to_string(rep_->tables.size()) + " shards";
     return false;
   }
-  Pass1Chunk chunk;
-  if (!DecodePass1Chunk(data, size, &chunk)) {
+  Pass1Payload chunk;
+  if (!ParsePass1Payload(data, size, &chunk)) {
     *error = "malformed Pass1Chunk payload (" + std::to_string(size) +
              " bytes) for shard " + std::to_string(shard);
     return false;
@@ -1703,11 +1485,9 @@ bool ShardCounterBank::AddChunkPayload(uint32_t shard, const uint8_t* data,
   // connection, and the coordinator's ledger reconciliation would reject
   // the shard anyway.
   CountTable& table = rep_->tables[shard];
-  uint64_t decoded = chunk.codes.size();
-  for (uint64_t code : chunk.codes) table.Add(code);
-  if (!chunk.packed.empty() &&
-      !DecodeSuperkmers(chunk.packed.data(), chunk.packed.size(),
-                        rep_->mer_length, [&](uint64_t code) {
+  uint64_t decoded = 0;
+  if (!DecodeSuperkmers(chunk.packed, chunk.packed_size, rep_->mer_length,
+                        [&](uint64_t code) {
                           table.Add(code);
                           ++decoded;
                         })) {

@@ -5,23 +5,16 @@
 // per-logical-worker std::unordered_maps; this subsystem replaces it with
 // the two-pass sharded design proven in k-mer tools such as yak:
 //
-//   Pass 1 (partition): scanner threads cut reads into per-shard chunks and
-//   move a full chunk into the shard's queue under a per-shard mutex — the
-//   mutex is taken once per tens of kilobytes, so the per-base hot path
-//   takes no locks and shares no cache lines between threads. What a chunk
-//   holds depends on Pass1Encoding:
-//
-//     kSuperkmer (default): minimizer-bucketed super-k-mers — maximal runs
-//     of consecutive windows sharing one Mix64-ordered minimizer, shipped
-//     as 2-bit-packed bases with a varint header (dna/superkmer.h). Shard =
-//     high bits of Mix64(minimizer); strand-invariant minimizers guarantee
-//     every occurrence of a canonical mer lands in the same shard. A run of
-//     w windows costs ~(w + L - 1)/4 + 2 bytes instead of 8w, cutting the
-//     pass-1 shuffle volume ~4-6x on real read sets.
-//
-//     kRaw: one 8-byte canonical code per window, shard = high bits of
-//     Mix64(code). The PR-2 path, kept as the equivalence oracle (like the
-//     shuffle engine's sort strategy) and as the bench baseline.
+//   Pass 1 (partition): scanner threads cut reads into minimizer-bucketed
+//   super-k-mers — maximal runs of consecutive windows sharing one
+//   Mix64-ordered minimizer, shipped as 2-bit-packed bases with a varint
+//   header (dna/superkmer.h) — and append each to its shard's chunk. Shard
+//   = high bits of Mix64(minimizer); strand-invariant minimizers guarantee
+//   every occurrence of a canonical mer lands in the same shard. A run of
+//   w windows costs ~(w + L - 1)/4 + 2 bytes instead of 8w for raw codes.
+//   A full chunk moves into the shard's queue under a mutex taken once per
+//   tens of kilobytes, so the per-base hot path takes no locks and shares
+//   no cache lines between threads.
 //
 //   Pass 2 (count): each shard owns a disjoint slice of mer space, so the
 //   shards are counted fully independently in parallel, one open-addressing
@@ -29,20 +22,21 @@
 //   right before the table probes. No atomics, no merging of tables.
 //
 // Survivors of the coverage filter are routed into `num_workers` output
-// partitions by Mix64(code) % num_workers — the same routing the seed path
-// used — so downstream phase (ii) MapReduce consumes the result unchanged,
-// bit-identically under either encoding.
+// partitions by Mix64(code) % num_workers — the same routing the serial
+// counter uses — so downstream phase (ii) MapReduce consumes the result
+// unchanged. CountCanonicalMersSerial scans raw windows with no shards or
+// super-k-mers at all; it is the definitional oracle the tests compare
+// every sharded path against.
 //
-// Memory tradeoff: the pass-1/pass-2 barrier of the batch counters holds
-// the whole chunk stream (proportional to coverage x genome size; ~4-6x
-// smaller under kSuperkmer). CounterSession removes that barrier: shard
-// counter threads drain the chunk queues into the count tables *while* the
-// scanners are still producing, and the queued *bytes* are bounded — a
-// scanner flushing into a full queue blocks until the counters catch up
-// (backpressure that propagates through ReadStream to the input file). Peak
-// transient memory is the configured byte bound plus the tables (~12 bytes
-// per distinct mer). Under kSuperkmer the same byte bound buys ~4-6x more
-// in-flight windows, or the same backlog in ~4-6x less memory.
+// Memory tradeoff: the pass-1/pass-2 barrier of the batch counter holds
+// the whole chunk stream (proportional to coverage x genome size).
+// CounterSession removes that barrier: shard counter threads drain the
+// chunk queues into the count tables *while* the scanners are still
+// producing, and the queued *bytes* are bounded — a scanner flushing into
+// a full queue blocks until the counters catch up (backpressure that
+// propagates through ReadStream to the input file). Peak transient memory
+// is the configured byte bound plus the tables (~12 bytes per distinct
+// mer); Finish frees each shard's table once its survivors are routed.
 #ifndef PPA_DBG_KMER_COUNTER_H_
 #define PPA_DBG_KMER_COUNTER_H_
 
@@ -61,43 +55,6 @@ namespace ppa {
 struct SpillContext;  // spill/spill.h
 class NetContext;     // net/coordinator.h
 
-/// What pass 1 ships through the shard chunk queues.
-enum class Pass1Encoding : uint8_t {
-  kRaw = 0,        // one 8-byte canonical code per window (oracle path)
-  kSuperkmer = 1,  // 2-bit-packed minimizer-bucketed super-k-mers (default)
-};
-
-inline const char* Pass1EncodingName(Pass1Encoding e) {
-  return e == Pass1Encoding::kRaw ? "raw" : "superkmer";
-}
-
-inline bool ParsePass1Encoding(const std::string& name, Pass1Encoding* out) {
-  if (name == "raw") {
-    *out = Pass1Encoding::kRaw;
-    return true;
-  }
-  if (name == "superkmer") {
-    *out = Pass1Encoding::kSuperkmer;
-    return true;
-  }
-  return false;
-}
-
-/// How CounterSession moves sealed pass-1 chunks from scanners to shard
-/// counters.
-enum class QueueImpl : uint8_t {
-  kRings = 0,  // lock-free bounded MPSC rings (util/mpsc_ring.h); the
-               // default for the pure in-memory path. Spilling and
-               // distributed sessions always use the mutex queues (their
-               // admission decisions need the session-wide view).
-  kMutex = 1,  // mutex + condvar deques (the pre-SIMD path; kept as the
-               // contention baseline and for spill/distributed sessions)
-};
-
-inline const char* QueueImplName(QueueImpl q) {
-  return q == QueueImpl::kRings ? "rings" : "mutex";
-}
-
 /// Configuration of one counting job.
 struct KmerCountConfig {
   int mer_length = 32;         // length of the counted mers; <= 32.
@@ -107,9 +64,8 @@ struct KmerCountConfig {
                                // 1024; 0 = auto (4x threads).
   uint32_t coverage_threshold = 1;  // keep mers with count >= threshold.
 
-  // Pass-1 shuffle encoding. minimizer_len only applies to kSuperkmer and
-  // is clamped internally to min(minimizer_len, mer_length, 31).
-  Pass1Encoding pass1_encoding = Pass1Encoding::kSuperkmer;
+  // Super-k-mer minimizer length, clamped internally to
+  // min(minimizer_len, mer_length, 31).
   int minimizer_len = 11;
 
   // External spill (spill/spill.h), streaming sessions only. nullptr (or
@@ -132,11 +88,6 @@ struct KmerCountConfig {
   // shards are replayed to their new owner, and when the whole fleet dies
   // the session degrades to counting the journal locally.
   NetContext* net = nullptr;
-
-  // Scan->count queue implementation (streaming sessions, in-memory path
-  // only; spilling/distributed sessions use kMutex regardless). Counting
-  // is commutative, so output is bit-identical either way.
-  QueueImpl queue_impl = QueueImpl::kRings;
 };
 
 /// Execution metrics of one counting job (feeds RunStats / benches).
@@ -150,17 +101,16 @@ struct KmerCountStats {
   double pass1_seconds = 0;     // partition pass
   double pass2_seconds = 0;     // count pass
 
-  // Pass-1 shuffle volume. shuffled_messages counts the shipped units (raw
-  // codes, super-k-mer records, or — serial fallback — pre-aggregated
-  // (code, count) pairs); shuffled_bytes is the measured chunk payload.
-  // message_size is the fixed per-unit size, or 0 when variable
-  // (superkmer — shuffled_bytes is authoritative).
-  Pass1Encoding encoding = Pass1Encoding::kRaw;
-  int minimizer_len = 0;        // effective m (superkmer encoding only)
-  uint64_t superkmers = 0;      // super-k-mer records (superkmer only)
+  // Pass-1 shuffle volume. shuffled_messages counts the shipped units
+  // (super-k-mer records, or — serial counter — pre-aggregated (code,
+  // count) pairs); shuffled_bytes is the measured chunk payload.
+  // message_size is the fixed per-unit size, or 0 when variable (sharded
+  // counters — shuffled_bytes is authoritative).
+  int minimizer_len = 0;        // effective m (sharded counters only)
+  uint64_t superkmers = 0;      // super-k-mer records (sharded only)
   uint64_t shuffled_messages = 0;
   uint64_t shuffled_bytes = 0;
-  uint32_t message_size = sizeof(uint64_t);
+  uint32_t message_size = 0;
 
   // Measured per-shard pass-2 load (sharded counters only; empty for
   // serial): windows counted, chunk payload bytes, shipped units. Used for
@@ -176,14 +126,6 @@ struct KmerCountStats {
   // bound covers every resident chunk byte of the session.
   uint64_t peak_queued_bytes = 0;
   uint64_t queue_bound_bytes = 0;
-
-  // Queue implementation the session actually ran (may differ from the
-  // configured one: spill/distributed force kMutex), and how many times a
-  // thread exhausted its spin budget on a full/empty ring and parked
-  // (kRings only; also published as the counting.queue_spin metric). Like
-  // peak_queued_bytes, scheduling-dependent — equivalence tests mask it.
-  QueueImpl queue_impl = QueueImpl::kMutex;
-  uint64_t queue_spin_parks = 0;
 
   // External spill volume (spill/spill.h); all zero when spilling is off.
   // spilled/readback bytes are serialized record payloads, so equal totals
@@ -221,8 +163,8 @@ MerCounts CountCanonicalMers(const std::vector<Read>& reads,
                              KmerCountStats* stats = nullptr);
 
 /// Single-threaded reference counter. Bit-identical multiset of (code,
-/// count) pairs per output partition as the sharded counter; used as the
-/// `--serial-counting` fallback and as the property-test oracle.
+/// count) pairs per output partition as the sharded counters; the oracle
+/// the equivalence tests compare them against. Not used in production.
 MerCounts CountCanonicalMersSerial(const std::vector<Read>& reads,
                                    const KmerCountConfig& config,
                                    KmerCountStats* stats = nullptr);
@@ -256,7 +198,7 @@ class CounterSession {
   CounterSession(const CounterSession&) = delete;
   CounterSession& operator=(const CounterSession&) = delete;
 
-  static constexpr uint64_t kDefaultMaxQueuedBytes = 32ULL << 20;  // 32 MB
+  static constexpr uint64_t kDefaultMaxQueuedBytes = 4ULL << 20;  // 4 MiB
 
   /// Scans `reads` and feeds their canonical mers to the shard counters.
   /// Thread-safe; blocks while the queued-byte bound is exceeded.
@@ -279,7 +221,7 @@ class CounterSession {
 
 /// Renders counting metrics as a two-superstep RunStats (partition pass =
 /// map + shuffle, count pass = reduce) so the pipeline's cluster-model
-/// bookkeeping keeps working across the old and new counting paths.
+/// bookkeeping covers counting like every other job.
 RunStats MerCountRunStats(const KmerCountStats& stats, uint32_t num_workers,
                           const std::string& job_name);
 

@@ -1,5 +1,5 @@
 // Minimizer-bucketed super-k-mers: the pass-1 shuffle unit of the sharded
-// (k+1)-mer counter (dbg/kmer_counter.h, Pass1Encoding::kSuperkmer).
+// (k+1)-mer counter (dbg/kmer_counter.h).
 //
 // Consecutive L-base windows of a read share L-1 bases, so shipping one raw
 // 8-byte canonical code per window moves ~8 bytes per base of input. The
@@ -24,10 +24,10 @@
 //     runs, which lexicographic minimizers famously pile onto one bucket)
 //     spreads across shards like any other sequence.
 //
-// The decoder replays a packed run through the same KmerWindow + Canonical
-// arithmetic the raw path uses, so the multiset of canonical window codes is
-// bit-identical between the two encodings — the raw path stays available as
-// the equivalence oracle.
+// The decoder replays a packed run through the same canonical arithmetic as
+// KmerWindow + Canonical, so the multiset of canonical window codes is
+// bit-identical to a raw per-window scan — which the serial counter
+// (CountCanonicalMersSerial) runs as the equivalence oracle.
 #ifndef PPA_DNA_SUPERKMER_H_
 #define PPA_DNA_SUPERKMER_H_
 

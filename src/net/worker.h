@@ -37,10 +37,6 @@ struct WorkerOptions {
   std::string listen;      // endpoint spec (wire.h); port 0 picks a free port
   bool once = false;       // exit Wait() after the first connection ends
   int io_timeout_ms = 0;   // per read/write on accepted connections; 0 = none
-  // Test hook: abruptly drop every connection after this many post-handshake
-  // frames, simulating a worker crash mid-stream. 0 = never. Exactly the
-  // fault-plan rule drop-conn@frame=N+1, kept as an alias; both compose.
-  uint64_t fail_after_frames = 0;
   // Deterministic fault script (faultinject.h grammar), evaluated per
   // connection.
   FaultPlan fault_plan;

@@ -37,8 +37,6 @@ void PublishRunMetrics(const RunReportData& data, MetricsRegistry* r) {
 
   if (data.counting != nullptr) {
     const KmerCountStats& c = *data.counting;
-    Set(r, "counting.queue_impl", static_cast<uint64_t>(c.queue_impl));
-    Set(r, "counting.queue_spin_parks", c.queue_spin_parks);
     Set(r, "counting.minimizer_len", c.minimizer_len);
     Set(r, "counting.shards", c.shards);
     Set(r, "counting.threads", c.threads);
@@ -145,8 +143,6 @@ void WriteRunReportJson(std::ostream& out, const SnapshotView& snapshot,
   w.EndArray();
   w.Key("counting_mode");
   w.Value(info.counting_mode);
-  w.Key("pass1_encoding");
-  w.Value(info.pass1_encoding);
   w.Key("shuffle_strategy");
   w.Value(info.shuffle_strategy);
   w.Key("spill_mode");

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/assembler.h"
+#include "dbg/kmer_counter.h"
 #include "io/fastx.h"
 #include "net/worker.h"
 #include "quality/quast.h"
@@ -43,8 +44,7 @@ TEST(AssembleCliParseTest, FlagsMapOntoOptions) {
   ASSERT_TRUE(Parse({"-k", "21", "--theta", "3", "--tip-length", "60",
                      "--bubble-edit", "4", "--workers", "8", "--threads", "2",
                      "--rounds", "2", "--labeling", "sv", "--shuffle", "sort",
-                     "--shards", "16", "--pass1-encoding", "raw",
-                     "--minimizer-len", "9",
+                     "--shards", "16", "--minimizer-len", "9",
                      "--queue-bytes", "5000", "--spill-mode", "auto",
                      "--memory-budget-bytes", "123456", "--spill-dir",
                      "/tmp/spill-parent", "--batch-reads", "128",
@@ -64,7 +64,6 @@ TEST(AssembleCliParseTest, FlagsMapOntoOptions) {
   EXPECT_EQ(opts.labeling, LabelingMethod::kSimplifiedSv);
   EXPECT_EQ(opts.assembler.shuffle_strategy, ShuffleStrategy::kSort);
   EXPECT_EQ(opts.assembler.kmer_shards, 16u);
-  EXPECT_EQ(opts.assembler.pass1_encoding, Pass1Encoding::kRaw);
   EXPECT_EQ(opts.assembler.minimizer_len, 9u);
   EXPECT_EQ(opts.assembler.kmer_queue_bytes, 5000u);
   EXPECT_EQ(opts.assembler.spill_mode, SpillMode::kAuto);
@@ -108,10 +107,14 @@ TEST(AssembleCliParseTest, RejectsBadInput) {
   EXPECT_FALSE(Parse({"--shuffle", "merge", "in.fastq"}, &opts, &error));
   EXPECT_NE(error.find("--shuffle"), std::string::npos);
   opts = {};
-  EXPECT_FALSE(Parse({"--pass1-encoding", "packed", "in.fastq"}, &opts,
-                     &error));
-  EXPECT_NE(error.find("--pass1-encoding"), std::string::npos);
-  opts = {};
+  // Removed flags are refused like any unknown flag.
+  for (const char* removed : {"--pass1-encoding", "--serial-counting"}) {
+    EXPECT_FALSE(Parse({removed, "in.fastq"}, &opts, &error));
+    EXPECT_NE(error.find(std::string("unknown flag '") + removed + "'"),
+              std::string::npos)
+        << error;
+    opts = {};
+  }
   EXPECT_FALSE(Parse({"--minimizer-len", "0", "in.fastq"}, &opts, &error));
   EXPECT_NE(error.find("--minimizer-len"), std::string::npos);
   opts = {};
@@ -128,9 +131,6 @@ TEST(AssembleCliParseTest, RejectsBadInput) {
   opts = {};
   EXPECT_FALSE(
       Parse({"--memory-budget-bytes", "-5", "in.fastq"}, &opts, &error));
-  opts = {};
-  // Serial counting only exists on the in-memory path.
-  EXPECT_FALSE(Parse({"--serial-counting", "in.fastq"}, &opts, &error));
   opts = {};
   bool help = false;
   std::vector<const char*> help_args = {"--help"};
@@ -288,62 +288,50 @@ TEST(AssembleCliRunTest, StreamedFileRunMatchesInMemoryPipeline) {
             std::string::npos)
       << stats;
   EXPECT_EQ(stats.find("combined_away=0\n"), std::string::npos) << stats;
-  EXPECT_NE(stats.find("pass1=superkmer"), std::string::npos) << stats;
   EXPECT_NE(stats.find("peak_queued_bytes="), std::string::npos);
   EXPECT_NE(stats.find("n50="), std::string::npos);
   EXPECT_NE(stats.find("queue_bound_bytes=65536"), std::string::npos)
       << stats;
 }
 
-// The acceptance property of the pass-1 encodings: streaming ppa_assemble
-// under --pass1-encoding raw and superkmer produces identical surviving-mer
-// counts, identical contig multisets, and identical QUAST metrics — the
-// superkmer run just ships fewer pass-1 bytes.
-TEST(AssembleCliRunTest, Pass1EncodingsProduceIdenticalAssemblies) {
+// Streaming ppa_assemble counts exactly what the serial oracle counts on
+// the same reads: identical window, distinct and surviving totals — and
+// its super-k-mer pass 1 ships fewer bytes than one 8-byte code per window.
+TEST(AssembleCliRunTest, StreamingCountsMatchSerialOracle) {
   Dataset dataset = MakeDataset(DatasetId::kHc2, 0.04);
   const std::string prefix = TempPath("hc2_pass1");
   std::vector<std::string> written = ExportDatasetFastq(dataset, prefix);
 
-  auto run = [&](const char* encoding) {
-    AssembleCliOptions opts;
-    opts.inputs = {written[0]};
-    opts.reference = written[1];
-    opts.contigs_out =
-        TempPath(std::string("hc2_pass1.") + encoding + ".fasta");
-    opts.stats_out = TempPath(std::string("hc2_pass1.") + encoding + ".txt");
-    opts.assembler.num_workers = 8;
-    opts.assembler.num_threads = 2;
-    EXPECT_TRUE(
-        ParsePass1Encoding(encoding, &opts.assembler.pass1_encoding));
-    std::ostringstream out, err;
-    EXPECT_EQ(RunAssembleCli(opts, out, err), 0) << err.str();
-    return opts;
-  };
-  const AssembleCliOptions raw = run("raw");
-  const AssembleCliOptions sk = run("superkmer");
+  AssembleCliOptions opts;
+  opts.inputs = {written[0]};
+  opts.reference = written[1];
+  opts.contigs_out = TempPath("hc2_pass1.fasta");
+  opts.stats_out = TempPath("hc2_pass1.txt");
+  opts.assembler.num_workers = 8;
+  opts.assembler.num_threads = 2;
+  std::ostringstream out, err;
+  ASSERT_EQ(RunAssembleCli(opts, out, err), 0) << err.str();
 
-  EXPECT_EQ(SortedContigSeqs(raw.contigs_out), SortedContigSeqs(sk.contigs_out));
+  KmerCountConfig config;
+  config.mer_length = opts.assembler.k + 1;
+  config.num_workers = opts.assembler.num_workers;
+  config.coverage_threshold = opts.assembler.coverage_threshold;
+  KmerCountStats serial;
+  CountCanonicalMersSerial(dataset.reads, config, &serial);
 
-  // Grep the per-encoding evidence out of the stats reports: identical
-  // surviving/window counts, and a smaller pass-1 byte volume for superkmer.
   auto field = [](const std::string& stats, const std::string& key) {
-    // The key is either mid-line (" reads=") or at line start ("reads=").
-    size_t at = stats.find(" " + key + "=");
-    if (at == std::string::npos) at = stats.find("\n" + key + "=");
+    const size_t at = stats.find(" " + key + "=");
     EXPECT_NE(at, std::string::npos) << key << " missing in:\n" << stats;
     if (at == std::string::npos) return uint64_t{0};
     return static_cast<uint64_t>(
         std::stoull(stats.substr(at + key.size() + 2)));
   };
-  const std::string raw_stats = ReadFile(raw.stats_out);
-  const std::string sk_stats = ReadFile(sk.stats_out);
-  EXPECT_NE(raw_stats.find("pass1=raw"), std::string::npos);
-  EXPECT_NE(sk_stats.find("pass1=superkmer"), std::string::npos);
-  EXPECT_EQ(field(raw_stats, "windows"), field(sk_stats, "windows"));
-  EXPECT_EQ(field(raw_stats, "distinct"), field(sk_stats, "distinct"));
-  EXPECT_EQ(field(raw_stats, "surviving"), field(sk_stats, "surviving"));
-  EXPECT_EQ(field(raw_stats, "n50"), field(sk_stats, "n50"));
-  EXPECT_LT(field(sk_stats, "pass1_bytes"), field(raw_stats, "pass1_bytes"));
+  const std::string stats = ReadFile(opts.stats_out);
+  EXPECT_EQ(field(stats, "windows"), serial.total_windows);
+  EXPECT_EQ(field(stats, "distinct"), serial.distinct_mers);
+  EXPECT_EQ(field(stats, "surviving"), serial.surviving_mers);
+  EXPECT_LT(field(stats, "pass1_bytes"),
+            serial.total_windows * sizeof(uint64_t));
 }
 
 // The spill acceptance property: `ppa_assemble --spill-mode always
@@ -552,7 +540,7 @@ TEST(AssembleCliRunTest, ReportJsonAndTraceMatchTextReport) {
   ASSERT_NE(run.Find("schema"), nullptr);
   EXPECT_EQ(run.Find("schema")->str, "ppa.run_report.v1");
   EXPECT_EQ(run.Find("counting_mode")->str, "stream");
-  EXPECT_EQ(run.Find("pass1_encoding")->str, "superkmer");
+  EXPECT_EQ(run.Find("pass1_encoding"), nullptr);
   EXPECT_EQ(run.Find("shuffle_strategy")->str, "hash");
   ASSERT_EQ(run.Find("inputs")->array.size(), 1u);
   EXPECT_EQ(run.Find("inputs")->array[0].str, written[0]);
@@ -629,14 +617,13 @@ TEST(AssembleCliRunTest, InMemoryModeMatchesStreamingMode) {
 
   AssembleCliOptions mem_opts = stream_opts;
   mem_opts.in_memory = true;
-  mem_opts.assembler.sharded_kmer_counting = false;  // serial reference
   mem_opts.contigs_out = TempPath("hc2_modes.mem.fasta");
   mem_opts.stats_out = TempPath("hc2_modes.mem.txt");
   ASSERT_EQ(RunAssembleCli(mem_opts, out, err), 0) << err.str();
 
   EXPECT_EQ(SortedContigSeqs(stream_opts.contigs_out),
             SortedContigSeqs(mem_opts.contigs_out));
-  EXPECT_NE(ReadFile(mem_opts.stats_out).find("mode=in-memory-serial"),
+  EXPECT_NE(ReadFile(mem_opts.stats_out).find("mode=in-memory-sharded"),
             std::string::npos);
 }
 

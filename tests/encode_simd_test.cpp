@@ -247,9 +247,9 @@ std::vector<std::vector<Pair>> SortedPartitions(const MerCounts& counts) {
 }
 
 // End-to-end counter equivalence across dispatch modes: the full sharded
-// counter (both encodings, 1 and 4 threads) produces bit-identical
-// partitioned counts whether the SIMD kernels are active or pinned off,
-// and both match the serial reference.
+// counter (1 and 4 threads) produces bit-identical partitioned counts
+// whether the SIMD kernels are active or pinned off, and both match the
+// serial reference.
 TEST(EncodeSimdTest, CounterBitIdenticalAcrossDispatchModes) {
   std::vector<Read> reads = SimulatedReads(15000, 10.0, 0.01, 5);
   reads.push_back({"n_runs", "ACGTACGTNNNNNNNNNNACGTACGATCGATTACA", ""});
@@ -264,25 +264,20 @@ TEST(EncodeSimdTest, CounterBitIdenticalAcrossDispatchModes) {
       config.coverage_threshold = 2;
       const auto serial =
           SortedPartitions(CountCanonicalMersSerial(reads, config));
-      for (Pass1Encoding enc :
-           {Pass1Encoding::kRaw, Pass1Encoding::kSuperkmer}) {
-        for (unsigned threads : {1u, 4u}) {
-          config.pass1_encoding = enc;
-          config.num_threads = threads;
-          const auto dispatched =
-              SortedPartitions(CountCanonicalMers(reads, config));
-          std::vector<std::vector<Pair>> forced;
-          {
-            ScopedForceScalar scalar;
-            forced = SortedPartitions(CountCanonicalMers(reads, config));
-          }
-          EXPECT_EQ(dispatched, serial)
-              << "k=" << k << " m=" << m << " threads=" << threads
-              << " enc=" << Pass1EncodingName(enc);
-          EXPECT_EQ(forced, serial)
-              << "k=" << k << " m=" << m << " threads=" << threads
-              << " enc=" << Pass1EncodingName(enc) << " (forced scalar)";
+      for (unsigned threads : {1u, 4u}) {
+        config.num_threads = threads;
+        const auto dispatched =
+            SortedPartitions(CountCanonicalMers(reads, config));
+        std::vector<std::vector<Pair>> forced;
+        {
+          ScopedForceScalar scalar;
+          forced = SortedPartitions(CountCanonicalMers(reads, config));
         }
+        EXPECT_EQ(dispatched, serial)
+            << "k=" << k << " m=" << m << " threads=" << threads;
+        EXPECT_EQ(forced, serial) << "k=" << k << " m=" << m
+                                  << " threads=" << threads
+                                  << " (forced scalar)";
       }
     }
   }

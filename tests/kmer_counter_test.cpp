@@ -1,8 +1,8 @@
 // Tests for the sharded parallel k-mer counter: the central property is
-// that the sharded counter — under both pass-1 encodings (raw codes and
-// minimizer-bucketed super-k-mers) — and the single-thread serial reference
-// produce bit-identical (code, count) sets, per output partition, on
-// simulated genomes across k-mer sizes, minimizer lengths, thread counts
+// that the sharded counters (batch and streaming, both shipping
+// minimizer-bucketed super-k-mers in pass 1) and the single-thread serial
+// reference produce bit-identical (code, count) sets, per output partition,
+// on simulated genomes across k-mer sizes, minimizer lengths, thread counts
 // and shard counts.
 #include "dbg/kmer_counter.h"
 
@@ -15,9 +15,11 @@
 #include <vector>
 
 #include "dna/kmer.h"
+#include "dna/superkmer.h"
 #include "sim/genome.h"
 #include "sim/read_simulator.h"
 #include "util/hash.h"
+#include "util/varint.h"
 
 namespace ppa {
 namespace {
@@ -49,8 +51,7 @@ std::vector<Read> SimulatedReads(uint64_t genome_length, double coverage,
 }
 
 // The headline property: parallel sharded counts are bit-identical to the
-// serial reference, per output partition, for every (k, threads) combo the
-// issue calls out — under both pass-1 encodings.
+// serial reference, per output partition, for every (k, threads) combo.
 TEST(KmerCounterTest, ShardedMatchesSerialAcrossKAndThreads) {
   std::vector<Read> reads = SimulatedReads(20000, 12.0, 0.01, 99);
   for (int k : {15, 21, 31}) {
@@ -59,29 +60,22 @@ TEST(KmerCounterTest, ShardedMatchesSerialAcrossKAndThreads) {
     config.num_workers = 4;
     config.coverage_threshold = 1;
     auto expected = SortedPartitions(CountCanonicalMersSerial(reads, config));
-    for (Pass1Encoding enc : {Pass1Encoding::kRaw, Pass1Encoding::kSuperkmer}) {
-      for (unsigned threads : {1u, 4u, 8u}) {
-        config.pass1_encoding = enc;
-        config.num_threads = threads;
-        config.num_shards = 0;  // auto
-        KmerCountStats stats;
-        auto actual =
-            SortedPartitions(CountCanonicalMers(reads, config, &stats));
-        EXPECT_EQ(actual, expected)
-            << "k=" << k << " threads=" << threads << " encoding="
-            << Pass1EncodingName(enc);
-        EXPECT_EQ(stats.threads, threads);
-        EXPECT_EQ(stats.encoding, enc);
-      }
+    for (unsigned threads : {1u, 4u, 8u}) {
+      config.num_threads = threads;
+      config.num_shards = 0;  // auto
+      KmerCountStats stats;
+      auto actual = SortedPartitions(CountCanonicalMers(reads, config, &stats));
+      EXPECT_EQ(actual, expected) << "k=" << k << " threads=" << threads;
+      EXPECT_EQ(stats.threads, threads);
     }
   }
 }
 
-// The tentpole's equivalence grid: raw and superkmer pass-1 produce
-// bit-identical surviving-mer sets and per-worker partitions across
+// The super-k-mer equivalence grid: the sharded counter produces the serial
+// oracle's surviving-mer sets and per-worker partitions across
 // k x minimizer-length x threads, with shuffle-volume accounting that sums
-// exactly and shows the superkmer compression.
-TEST(KmerCounterTest, SuperkmerMatchesRawAcrossKMinimizerAndThreads) {
+// exactly and shows the super-k-mer compression.
+TEST(KmerCounterTest, SuperkmerMatchesSerialAcrossKMinimizerAndThreads) {
   std::vector<Read> reads = SimulatedReads(20000, 12.0, 0.01, 42);
   // Exercise the edge paths inside the grid too.
   reads.push_back({"n_runs", "ACGTACGTNNNNNNNNNNACGTACGATCGATTACA", ""});
@@ -92,13 +86,11 @@ TEST(KmerCounterTest, SuperkmerMatchesRawAcrossKMinimizerAndThreads) {
     config.mer_length = k;
     config.num_workers = 4;
     config.coverage_threshold = 2;
-    config.pass1_encoding = Pass1Encoding::kRaw;
-    KmerCountStats raw_stats;
+    KmerCountStats serial_stats;
     auto expected =
-        SortedPartitions(CountCanonicalMers(reads, config, &raw_stats));
+        SortedPartitions(CountCanonicalMersSerial(reads, config, &serial_stats));
     for (int m : {7, 11}) {
       for (unsigned threads : {1u, 4u, 8u}) {
-        config.pass1_encoding = Pass1Encoding::kSuperkmer;
         config.minimizer_len = m;
         config.num_threads = threads;
         KmerCountStats stats;
@@ -106,9 +98,9 @@ TEST(KmerCounterTest, SuperkmerMatchesRawAcrossKMinimizerAndThreads) {
             SortedPartitions(CountCanonicalMers(reads, config, &stats));
         EXPECT_EQ(actual, expected)
             << "k=" << k << " m=" << m << " threads=" << threads;
-        EXPECT_EQ(stats.total_windows, raw_stats.total_windows);
-        EXPECT_EQ(stats.distinct_mers, raw_stats.distinct_mers);
-        EXPECT_EQ(stats.surviving_mers, raw_stats.surviving_mers);
+        EXPECT_EQ(stats.total_windows, serial_stats.total_windows);
+        EXPECT_EQ(stats.distinct_mers, serial_stats.distinct_mers);
+        EXPECT_EQ(stats.surviving_mers, serial_stats.surviving_mers);
         // Accounting integrity: per-shard measurements sum to the totals.
         uint64_t windows = 0, bytes = 0, records = 0;
         for (uint64_t w : stats.shard_windows) windows += w;
@@ -119,8 +111,9 @@ TEST(KmerCounterTest, SuperkmerMatchesRawAcrossKMinimizerAndThreads) {
         EXPECT_EQ(records, stats.superkmers);
         EXPECT_EQ(stats.shuffled_messages, stats.superkmers);
         EXPECT_EQ(stats.minimizer_len, std::min(m, k));
-        // The point of the encoding: fewer shuffle bytes than 8 B/window.
-        EXPECT_LT(stats.shuffled_bytes, raw_stats.shuffled_bytes)
+        // The point of the encoding: fewer shuffle bytes than one raw
+        // 8-byte code per window.
+        EXPECT_LT(stats.shuffled_bytes, stats.total_windows * sizeof(uint64_t))
             << "k=" << k << " m=" << m;
       }
     }
@@ -265,58 +258,27 @@ TEST(KmerCounterTest, TableGrowthPreservesCounts) {
   EXPECT_GT(stats.distinct_mers, 60000u);  // enough to force rehashing
 }
 
+// Shuffle accounting is exact: messages are super-k-mer records, bytes are
+// the measured packed chunks, reduce ops are one table probe per window,
+// and per-shard measured loads fold into worker slots that sum to the
+// totals.
 TEST(KmerCounterTest, RunStatsTotalsAreExact) {
   std::vector<Read> reads = SimulatedReads(5000, 10.0, 0.01, 23);
   KmerCountConfig config;
   config.mer_length = 21;
   config.num_workers = 4;
-  config.pass1_encoding = Pass1Encoding::kRaw;
-  KmerCountStats stats;
-  CountCanonicalMers(reads, config, &stats);
-  // Raw shuffle model: one 8-byte code per window, and per-shard measured
-  // loads folded into the worker slots.
-  EXPECT_EQ(stats.shuffled_messages, stats.total_windows);
-  EXPECT_EQ(stats.message_size, sizeof(uint64_t));
-  EXPECT_EQ(stats.shuffled_bytes, stats.total_windows * sizeof(uint64_t));
-  ASSERT_EQ(stats.shard_windows.size(), stats.shards);
-  uint64_t shard_sum = 0;
-  for (uint64_t w : stats.shard_windows) shard_sum += w;
-  EXPECT_EQ(shard_sum, stats.total_windows);
-
-  RunStats run = MerCountRunStats(stats, 4, "phase1");
-  ASSERT_EQ(run.num_supersteps(), 2u);
-  EXPECT_EQ(run.total_messages(), stats.total_windows);
-  EXPECT_EQ(run.supersteps[0].message_bytes, stats.shuffled_bytes);
-  // Per-worker attributions sum exactly to the totals.
-  const SuperstepStats& map_ss = run.supersteps[0];
-  uint64_t worker_sum = 0;
-  for (uint64_t m : map_ss.worker_messages) worker_sum += m;
-  EXPECT_EQ(worker_sum, map_ss.messages_sent);
-  uint64_t bytes_sum = 0;
-  for (uint64_t b : map_ss.worker_bytes) bytes_sum += b;
-  EXPECT_EQ(bytes_sum, map_ss.message_bytes);
-  uint64_t ops_sum = 0;
-  for (uint64_t o : map_ss.worker_ops) ops_sum += o;
-  EXPECT_EQ(ops_sum, map_ss.compute_ops);
-}
-
-// Same exactness under the superkmer encoding: messages are super-k-mer
-// records, bytes are the measured packed chunks, and reduce ops stay one
-// table probe per window.
-TEST(KmerCounterTest, SuperkmerRunStatsTotalsAreExact) {
-  std::vector<Read> reads = SimulatedReads(5000, 10.0, 0.01, 23);
-  KmerCountConfig config;
-  config.mer_length = 21;
-  config.num_workers = 4;
-  config.pass1_encoding = Pass1Encoding::kSuperkmer;
   KmerCountStats stats;
   CountCanonicalMers(reads, config, &stats);
   EXPECT_EQ(stats.shuffled_messages, stats.superkmers);
   EXPECT_GT(stats.superkmers, 0u);
   EXPECT_LT(stats.superkmers, stats.total_windows);
   EXPECT_EQ(stats.message_size, 0u);  // variable-size records
+  ASSERT_EQ(stats.shard_windows.size(), stats.shards);
+  uint64_t shard_sum = 0;
+  for (uint64_t w : stats.shard_windows) shard_sum += w;
+  EXPECT_EQ(shard_sum, stats.total_windows);
 
-  RunStats run = MerCountRunStats(stats, 4, "phase1-superkmer");
+  RunStats run = MerCountRunStats(stats, 4, "phase1");
   ASSERT_EQ(run.num_supersteps(), 2u);
   EXPECT_EQ(run.total_messages(), stats.superkmers);
   EXPECT_EQ(run.supersteps[0].message_bytes, stats.shuffled_bytes);
@@ -366,18 +328,13 @@ void ExpectSerialShardedAgree(const std::vector<Read>& reads, int mer_length,
   KmerCountStats serial_stats;
   auto expected =
       SortedPartitions(CountCanonicalMersSerial(reads, config, &serial_stats));
-  for (Pass1Encoding enc : {Pass1Encoding::kRaw, Pass1Encoding::kSuperkmer}) {
-    config.pass1_encoding = enc;
-    KmerCountStats sharded_stats;
-    auto actual =
-        SortedPartitions(CountCanonicalMers(reads, config, &sharded_stats));
-    EXPECT_EQ(actual, expected) << label << " " << Pass1EncodingName(enc);
-    EXPECT_EQ(sharded_stats.total_bases, serial_stats.total_bases) << label;
-    EXPECT_EQ(sharded_stats.total_windows, serial_stats.total_windows)
-        << label << " " << Pass1EncodingName(enc);
-    EXPECT_EQ(sharded_stats.distinct_mers, serial_stats.distinct_mers)
-        << label << " " << Pass1EncodingName(enc);
-  }
+  KmerCountStats sharded_stats;
+  auto actual =
+      SortedPartitions(CountCanonicalMers(reads, config, &sharded_stats));
+  EXPECT_EQ(actual, expected) << label;
+  EXPECT_EQ(sharded_stats.total_bases, serial_stats.total_bases) << label;
+  EXPECT_EQ(sharded_stats.total_windows, serial_stats.total_windows) << label;
+  EXPECT_EQ(sharded_stats.distinct_mers, serial_stats.distinct_mers) << label;
 }
 
 TEST(KmerCounterTest, NRunsSplitIdenticallyOnBothPaths) {
@@ -437,47 +394,40 @@ TEST(KmerCounterTest, EmptyInputOnBothPaths) {
 // ---------------------------------------------------------------------------
 // CounterSession: the streaming batch-ingest path must be bit-identical to
 // the batch counters on the concatenated input, and its buffered-byte
-// high-water mark must respect the configured bound — under both pass-1
-// encodings.
+// high-water mark must respect the configured bound.
 // ---------------------------------------------------------------------------
 
 TEST(CounterSessionTest, MatchesBatchCounterAcrossBatchSizes) {
   std::vector<Read> reads = SimulatedReads(20000, 12.0, 0.01, 99);
-  for (Pass1Encoding enc : {Pass1Encoding::kRaw, Pass1Encoding::kSuperkmer}) {
-    KmerCountConfig config;
-    config.mer_length = 21;
-    config.num_workers = 4;
-    config.num_threads = 4;
-    config.pass1_encoding = enc;
-    KmerCountStats batch_stats;
-    auto expected =
-        SortedPartitions(CountCanonicalMers(reads, config, &batch_stats));
-    for (size_t batch_size :
-         {size_t{1}, size_t{7}, size_t{64}, reads.size()}) {
-      CounterSession session(config);
-      for (size_t begin = 0; begin < reads.size(); begin += batch_size) {
-        const size_t n = std::min(batch_size, reads.size() - begin);
-        session.AddBatch(reads.data() + begin, n);
-      }
-      KmerCountStats stats;
-      auto actual = SortedPartitions(session.Finish(&stats));
-      EXPECT_EQ(actual, expected) << "batch_size=" << batch_size
-                                  << " encoding=" << Pass1EncodingName(enc);
-      EXPECT_EQ(stats.total_bases, batch_stats.total_bases);
-      EXPECT_EQ(stats.total_windows, batch_stats.total_windows);
-      EXPECT_EQ(stats.distinct_mers, batch_stats.distinct_mers);
-      EXPECT_EQ(stats.surviving_mers, batch_stats.surviving_mers);
-      EXPECT_EQ(stats.queue_bound_bytes,
-                CounterSession::kDefaultMaxQueuedBytes);
-      EXPECT_LE(stats.peak_queued_bytes, stats.queue_bound_bytes)
-          << "batch_size=" << batch_size;
-      // Enqueued accounting covers every window and every shipped byte.
-      uint64_t shard_sum = 0, bytes_sum = 0;
-      for (uint64_t w : stats.shard_windows) shard_sum += w;
-      for (uint64_t b : stats.shard_bytes) bytes_sum += b;
-      EXPECT_EQ(shard_sum, stats.total_windows);
-      EXPECT_EQ(bytes_sum, stats.shuffled_bytes);
+  KmerCountConfig config;
+  config.mer_length = 21;
+  config.num_workers = 4;
+  config.num_threads = 4;
+  KmerCountStats batch_stats;
+  auto expected =
+      SortedPartitions(CountCanonicalMers(reads, config, &batch_stats));
+  for (size_t batch_size : {size_t{1}, size_t{7}, size_t{64}, reads.size()}) {
+    CounterSession session(config);
+    for (size_t begin = 0; begin < reads.size(); begin += batch_size) {
+      const size_t n = std::min(batch_size, reads.size() - begin);
+      session.AddBatch(reads.data() + begin, n);
     }
+    KmerCountStats stats;
+    auto actual = SortedPartitions(session.Finish(&stats));
+    EXPECT_EQ(actual, expected) << "batch_size=" << batch_size;
+    EXPECT_EQ(stats.total_bases, batch_stats.total_bases);
+    EXPECT_EQ(stats.total_windows, batch_stats.total_windows);
+    EXPECT_EQ(stats.distinct_mers, batch_stats.distinct_mers);
+    EXPECT_EQ(stats.surviving_mers, batch_stats.surviving_mers);
+    EXPECT_EQ(stats.queue_bound_bytes, CounterSession::kDefaultMaxQueuedBytes);
+    EXPECT_LE(stats.peak_queued_bytes, stats.queue_bound_bytes)
+        << "batch_size=" << batch_size;
+    // Enqueued accounting covers every window and every shipped byte.
+    uint64_t shard_sum = 0, bytes_sum = 0;
+    for (uint64_t w : stats.shard_windows) shard_sum += w;
+    for (uint64_t b : stats.shard_bytes) bytes_sum += b;
+    EXPECT_EQ(shard_sum, stats.total_windows);
+    EXPECT_EQ(bytes_sum, stats.shuffled_bytes);
   }
 }
 
@@ -552,6 +502,126 @@ TEST(CounterSessionTest, EdgeCaseReadsMatchBatchCounter) {
   for (const auto& part : empty) EXPECT_TRUE(part.empty());
   EXPECT_EQ(empty_stats.total_windows, 0u);
   EXPECT_EQ(empty_stats.peak_queued_bytes, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// ShardCounterBank: the shard worker's decoder for the kCounterChunk payload
+// varint(windows) varint(records) + packed super-k-mer records. The bytes
+// crossed a socket, so every malformed shape must be refused with a
+// diagnostic, never counted or aborted on.
+// ---------------------------------------------------------------------------
+
+// Encodes `reads` into one chunk payload the way the counter's scanners
+// do: every super-k-mer record back to back after the two header varints.
+std::vector<uint8_t> EncodeChunkPayload(const std::vector<Read>& reads,
+                                        int mer_length, uint64_t* windows) {
+  SuperkmerScanner scanner(mer_length, /*minimizer_length=*/11);
+  std::vector<uint8_t> packed;
+  uint64_t records = 0;
+  *windows = 0;
+  for (const Read& read : reads) {
+    std::vector<uint8_t> codes(read.bases.size());
+    ClassifyBases(read.bases.data(), read.bases.size(), codes.data());
+    scanner.ScanCodes(codes.data(), codes.size(), [&](const Superkmer& sk) {
+      AppendSuperkmerCodes(codes.data() + sk.base_offset, sk.base_length,
+                           /*first_window_offset=*/0, &packed);
+      *windows += sk.windows;
+      ++records;
+    });
+  }
+  std::vector<uint8_t> payload;
+  PutVarint64(&payload, *windows);
+  PutVarint64(&payload, records);
+  payload.insert(payload.end(), packed.begin(), packed.end());
+  return payload;
+}
+
+TEST(ShardCounterBankTest, RoundTripOfLocalChunksMatchesSerial) {
+  std::vector<Read> reads = SimulatedReads(4000, 6.0, 0.01, 5);
+  const size_t half = reads.size() / 2;
+  const std::vector<Read> first(reads.begin(), reads.begin() + half);
+  const std::vector<Read> second(reads.begin() + half, reads.end());
+  uint64_t first_windows = 0, second_windows = 0;
+  const std::vector<uint8_t> a = EncodeChunkPayload(first, 21, &first_windows);
+  const std::vector<uint8_t> b =
+      EncodeChunkPayload(second, 21, &second_windows);
+
+  ShardCounterBank bank(/*mer_length=*/21, /*num_shards=*/2);
+  std::string error;
+  ASSERT_TRUE(bank.AddChunkPayload(1, a.data(), a.size(), &error)) << error;
+  ASSERT_TRUE(bank.AddChunkPayload(1, b.data(), b.size(), &error)) << error;
+  EXPECT_EQ(bank.chunks(1), 2u);
+  EXPECT_EQ(bank.windows(1), first_windows + second_windows);
+  EXPECT_EQ(bank.chunks(0), 0u);
+
+  KmerCountConfig config;
+  config.mer_length = 21;
+  config.num_workers = 3;
+  config.coverage_threshold = 2;
+  KmerCountStats serial_stats;
+  auto expected =
+      SortedPartitions(CountCanonicalMersSerial(reads, config, &serial_stats));
+  EXPECT_EQ(bank.windows(1), serial_stats.total_windows);
+  EXPECT_EQ(bank.distinct(1), serial_stats.distinct_mers);
+  EXPECT_EQ(SortedPartitions(bank.Finalize(1, 2, 3)), expected);
+}
+
+TEST(ShardCounterBankTest, RefusesShardOutOfRange) {
+  uint64_t windows = 0;
+  const std::vector<uint8_t> payload =
+      EncodeChunkPayload(SimulatedReads(500, 2.0, 0.0, 8), 21, &windows);
+  ShardCounterBank bank(21, 4);
+  std::string error;
+  EXPECT_FALSE(bank.AddChunkPayload(4, payload.data(), payload.size(), &error));
+  EXPECT_NE(error.find("shard 4"), std::string::npos) << error;
+}
+
+TEST(ShardCounterBankTest, RefusesTruncatedHeader) {
+  ShardCounterBank bank(21, 1);
+  std::string error;
+  EXPECT_FALSE(bank.AddChunkPayload(0, nullptr, 0, &error));
+  EXPECT_NE(error.find("malformed"), std::string::npos) << error;
+  // windows present, records varint cut mid-byte (continuation bit set).
+  const std::vector<uint8_t> cut = {0x05, 0x80};
+  error.clear();
+  EXPECT_FALSE(bank.AddChunkPayload(0, cut.data(), cut.size(), &error));
+  EXPECT_NE(error.find("malformed"), std::string::npos) << error;
+  EXPECT_EQ(bank.chunks(0), 0u);
+}
+
+TEST(ShardCounterBankTest, RefusesWindowCountThePackedBytesContradict) {
+  const std::vector<Read> reads = SimulatedReads(500, 2.0, 0.0, 8);
+  uint64_t windows = 0;
+  const std::vector<uint8_t> good = EncodeChunkPayload(reads, 21, &windows);
+  ASSERT_GT(windows, 0u);
+  // Same records, header claiming one window more.
+  size_t pos = 0;
+  uint64_t declared = 0;
+  ASSERT_TRUE(GetVarint64(good.data(), good.size(), &pos, &declared));
+  std::vector<uint8_t> lying;
+  PutVarint64(&lying, declared + 1);
+  lying.insert(lying.end(), good.begin() + pos, good.end());
+
+  ShardCounterBank bank(21, 1);
+  std::string error;
+  EXPECT_FALSE(bank.AddChunkPayload(0, lying.data(), lying.size(), &error));
+  EXPECT_NE(error.find("declares " + std::to_string(windows + 1)),
+            std::string::npos)
+      << error;
+  EXPECT_EQ(bank.chunks(0), 0u);
+  EXPECT_EQ(bank.windows(0), 0u);
+}
+
+TEST(ShardCounterBankTest, RefusesTrailingBytes) {
+  const std::vector<Read> reads = SimulatedReads(500, 2.0, 0.0, 8);
+  uint64_t windows = 0;
+  std::vector<uint8_t> payload = EncodeChunkPayload(reads, 21, &windows);
+  payload.push_back(0x00);  // a record header cut after its first varint
+  ShardCounterBank bank(21, 1);
+  std::string error;
+  EXPECT_FALSE(bank.AddChunkPayload(0, payload.data(), payload.size(), &error));
+  EXPECT_NE(error.find("malformed super-k-mer"), std::string::npos) << error;
+  EXPECT_EQ(bank.chunks(0), 0u);
 }
 
 }  // namespace

@@ -275,8 +275,7 @@ struct Fleet {
   std::vector<std::unique_ptr<ShardWorkerServer>> servers;
   std::unique_ptr<NetContext> context;
 
-  explicit Fleet(uint32_t n, uint64_t fail_after_frames = 0,
-                 uint64_t window_bytes = 1 << 20,
+  explicit Fleet(uint32_t n, uint64_t window_bytes = 1 << 20,
                  std::vector<net::FaultPlan> plans = {},
                  int io_timeout_ms = 20000) {
     dir = MakeTempDir();
@@ -284,7 +283,6 @@ struct Fleet {
     for (uint32_t w = 0; w < n; ++w) {
       WorkerOptions options;
       options.listen = "unix:" + dir + "/w" + std::to_string(w) + ".sock";
-      options.fail_after_frames = fail_after_frames;
       if (!plans.empty()) options.fault_plan = plans[w];
       servers.push_back(std::make_unique<ShardWorkerServer>(options));
       std::string error;
@@ -409,7 +407,7 @@ TEST(DistributedCounterTest, TinyWindowStillBitIdentical) {
   config.num_workers = 3;
   config.num_threads = 4;
   auto expected = SortedPartitions(CountCanonicalMers(reads, config));
-  Fleet fleet(2, /*fail_after_frames=*/0, /*window_bytes=*/4096);
+  Fleet fleet(2, /*window_bytes=*/4096);
   config.net = fleet.context.get();
   CounterSession session(config);
   session.AddBatch(reads);
@@ -498,7 +496,7 @@ TEST(DistributedCounterTest, WorkerDeathMidStreamRecoversBitIdentical) {
   config.num_threads = 4;
   config.num_shards = 8;
   auto expected = SortedPartitions(CountCanonicalMers(reads, config));
-  Fleet fleet(2, /*fail_after_frames=*/0, /*window_bytes=*/1 << 20,
+  Fleet fleet(2, /*window_bytes=*/1 << 20,
               {Plan("drop-conn@frame=5"), net::FaultPlan{}});
   config.net = fleet.context.get();
   CounterSession session(config);
@@ -538,7 +536,7 @@ TEST(DistributedCounterTest, DeathDuringCollectionRecovers) {
     finish_frame = w0.Get("worker.frames_total");
     ASSERT_GT(finish_frame, 2u);  // open + at least one chunk + finish
   }
-  Fleet fleet(2, /*fail_after_frames=*/0, /*window_bytes=*/1 << 20,
+  Fleet fleet(2, /*window_bytes=*/1 << 20,
               {Plan("drop-conn@frame=" + std::to_string(finish_frame)),
                net::FaultPlan{}});
   config.net = fleet.context.get();
@@ -553,8 +551,8 @@ TEST(DistributedCounterTest, DeathDuringCollectionRecovers) {
 }
 
 // Every worker dying degrades the run to local counting from the journal —
-// still bit-identical, still exit-clean. (fail_after_frames hits every
-// server, so both workers die.)
+// still bit-identical, still exit-clean. (Both servers drop their
+// connection at the fourth frame, so both workers die.)
 TEST(DistributedCounterTest, AllWorkersDyingDegradesToLocalBitIdentical) {
   std::vector<Read> reads = SimulatedReads(30000, 12.0, 0.02, 3);
   KmerCountConfig config;
@@ -563,7 +561,8 @@ TEST(DistributedCounterTest, AllWorkersDyingDegradesToLocalBitIdentical) {
   config.num_threads = 4;
   config.num_shards = 8;
   auto expected = SortedPartitions(CountCanonicalMers(reads, config));
-  Fleet fleet(2, /*fail_after_frames=*/3);
+  Fleet fleet(2, /*window_bytes=*/1 << 20,
+              {Plan("drop-conn@frame=4"), Plan("drop-conn@frame=4")});
   config.net = fleet.context.get();
   CounterSession session(config);
   session.AddBatch(reads);
@@ -584,7 +583,7 @@ TEST(DistributedCounterTest, CorruptWorkerFrameTriggersRecovery) {
   config.num_threads = 4;
   config.num_shards = 8;
   auto expected = SortedPartitions(CountCanonicalMers(reads, config));
-  Fleet fleet(2, /*fail_after_frames=*/0, /*window_bytes=*/1 << 20,
+  Fleet fleet(2, /*window_bytes=*/1 << 20,
               {Plan("corrupt-frame@frame=4"), net::FaultPlan{}});
   config.net = fleet.context.get();
   CounterSession session(config);
@@ -607,7 +606,7 @@ TEST(DistributedCounterTest, StalledWorkerDetectedAndRecovered) {
   auto expected = SortedPartitions(CountCanonicalMers(reads, config));
   // The stall (2.5 s) far exceeds the io timeout (400 ms): the liveness
   // thread must declare the worker dead long before the stall ends.
-  Fleet fleet(2, /*fail_after_frames=*/0, /*window_bytes=*/1 << 20,
+  Fleet fleet(2, /*window_bytes=*/1 << 20,
               {Plan("stall-worker@frame=4@ms=2500"), net::FaultPlan{}},
               /*io_timeout_ms=*/400);
   config.net = fleet.context.get();
@@ -640,7 +639,7 @@ TEST(NetContextTest, NoWorkersAskedReturnsNull) {
 }
 
 // Connects a raw frame connection to a fleet server and completes the
-// magic exchange + kHello offering `offer`. The reply frame lands in
+// magic exchange + kHello offering `offer` (no flags). The reply frame lands in
 // `*reply`.
 void RawHello(const std::string& spec, uint64_t offer, Frame* reply) {
   net::Endpoint endpoint;
@@ -652,153 +651,28 @@ void RawHello(const std::string& spec, uint64_t offer, Frame* reply) {
   ASSERT_TRUE(conn.SendMagic(&error)) << error;
   std::vector<uint8_t> hello;
   PutVarint64(&hello, offer);
+  PutVarint64(&hello, 0);  // flags
   ASSERT_TRUE(conn.Send(MsgType::kHello, hello, &error)) << error;
   ASSERT_TRUE(conn.ExpectMagic(&error)) << error;
   ASSERT_EQ(conn.Recv(reply, &error), FrameConn::RecvResult::kOk) << error;
 }
 
-// Version negotiation at the hello: a client offering a future version is
-// answered with the worker's own (lower) version instead of a refusal;
-// only an offer below the compatibility floor keeps the versioned
-// refusal diagnostic.
-TEST(WorkerServerTest, HelloNegotiatesDownAndRefusesBelowFloor) {
+// Both ends speak exactly one protocol version: a hello offering any other
+// version — older or newer — is refused with a kError naming both.
+TEST(WorkerServerTest, HelloOfferingAnyOtherVersionIsRefused) {
   Fleet fleet(1);  // reuses its server; open more raw connections
   const std::string spec = fleet.servers[0]->listen_spec();
   Frame frame;
-  RawHello(spec, net::kProtocolVersion + 7, &frame);
-  ASSERT_EQ(frame.type, MsgType::kHelloOk);
-  uint64_t negotiated = 0;
-  size_t pos = 0;
-  ASSERT_TRUE(
-      GetVarint64(frame.body.data(), frame.body.size(), &pos, &negotiated));
-  EXPECT_EQ(negotiated, net::kProtocolVersion);
-
-  RawHello(spec, net::kMinProtocolVersion - 1, &frame);
-  EXPECT_EQ(frame.type, MsgType::kError);
-  const std::string text(frame.body.begin(), frame.body.end());
-  EXPECT_NE(text.find("protocol version"), std::string::npos) << text;
-}
-
-// A v3-era client (bare-varint hello, no flags word) negotiates down and
-// keeps the full frame plane — but the v4-only trace/clock frames are
-// refused on the downgraded link with a diagnostic naming the version.
-TEST(WorkerServerTest, V3ClientKeepsFramePlaneButNotTraceFrames) {
-  Fleet fleet(1);
-  net::Endpoint endpoint;
-  std::string error;
-  ASSERT_TRUE(net::ParseEndpoint(fleet.servers[0]->listen_spec(), &endpoint,
-                                 &error))
-      << error;
-  for (const MsgType refused :
-       {MsgType::kTraceRequest, MsgType::kClockProbe}) {
-    int fd = net::ConnectWithRetry(endpoint, 5000, &error);
-    ASSERT_GE(fd, 0) << error;
-    FrameConn conn(fd);
-    ASSERT_TRUE(conn.SendMagic(&error)) << error;
-    std::vector<uint8_t> hello;
-    PutVarint64(&hello, 3);
-    ASSERT_TRUE(conn.Send(MsgType::kHello, hello, &error)) << error;
-    ASSERT_TRUE(conn.ExpectMagic(&error)) << error;
-    Frame frame;
-    ASSERT_EQ(conn.Recv(&frame, &error), FrameConn::RecvResult::kOk) << error;
-    ASSERT_EQ(frame.type, MsgType::kHelloOk);
-    uint64_t negotiated = 0;
-    size_t pos = 0;
-    ASSERT_TRUE(
-        GetVarint64(frame.body.data(), frame.body.size(), &pos, &negotiated));
-    EXPECT_EQ(negotiated, 3u);
-    // The ordinary frame plane works on the downgraded link.
-    ASSERT_TRUE(conn.Send(MsgType::kHeartbeat, {}, &error)) << error;
-    ASSERT_EQ(conn.Recv(&frame, &error), FrameConn::RecvResult::kOk) << error;
-    EXPECT_EQ(frame.type, MsgType::kHeartbeatOk);
-    // The v4-only control frames do not.
-    ASSERT_TRUE(conn.Send(refused, {}, &error)) << error;
-    ASSERT_EQ(conn.Recv(&frame, &error), FrameConn::RecvResult::kOk) << error;
-    EXPECT_EQ(frame.type, MsgType::kError);
+  RawHello(spec, 5, &frame);
+  EXPECT_EQ(frame.type, MsgType::kHelloOk);
+  for (const uint64_t offer : {0u, 3u, 4u, 6u, 300u}) {
+    RawHello(spec, offer, &frame);
+    ASSERT_EQ(frame.type, MsgType::kError) << "offer " << offer;
     const std::string text(frame.body.begin(), frame.body.end());
-    EXPECT_NE(text.find("v3"), std::string::npos) << text;
+    EXPECT_NE(text.find("protocol version " + std::to_string(offer) + " != 5"),
+              std::string::npos)
+        << text;
   }
-}
-
-// The coordinator side of the downgrade: offered v4, a v3-era worker
-// replies with its legacy refusal diagnostic; the client parses the
-// worker's version out of it and redials offering v3 with a bare-varint
-// hello (no flags word — a v3 peer would misparse trailing bytes).
-TEST(WorkerClientTest, RedialsDownToAV3Worker) {
-  const std::string dir = MakeTempDir();
-  net::Endpoint endpoint;
-  std::string error;
-  ASSERT_TRUE(
-      net::ParseEndpoint("unix:" + dir + "/v3.sock", &endpoint, &error))
-      << error;
-  int listen_fd = net::ListenOn(endpoint, &error);
-  ASSERT_GE(listen_fd, 0) << error;
-
-  std::vector<uint8_t> first_hello, second_hello;
-  std::thread v3_worker([&] {
-    std::string err;
-    // First dial: refuse the v4 offer the way a v3 worker does.
-    int fd = net::AcceptOn(listen_fd, &err);
-    ASSERT_GE(fd, 0) << err;
-    {
-      FrameConn conn(fd);
-      ASSERT_TRUE(conn.ExpectMagic(&err)) << err;
-      Frame hello;
-      ASSERT_EQ(conn.Recv(&hello, &err), FrameConn::RecvResult::kOk) << err;
-      first_hello = hello.body;
-      ASSERT_TRUE(conn.SendMagic(&err)) << err;
-      const std::string text = "protocol version 4 != 3";
-      ASSERT_TRUE(conn.Send(MsgType::kError,
-                            std::vector<uint8_t>(text.begin(), text.end()),
-                            &err))
-          << err;
-    }
-    // Redial: accept the downgraded offer and serve until the client
-    // hangs up.
-    fd = net::AcceptOn(listen_fd, &err);
-    ASSERT_GE(fd, 0) << err;
-    FrameConn conn(fd);
-    ASSERT_TRUE(conn.ExpectMagic(&err)) << err;
-    Frame hello;
-    ASSERT_EQ(conn.Recv(&hello, &err), FrameConn::RecvResult::kOk) << err;
-    second_hello = hello.body;
-    ASSERT_TRUE(conn.SendMagic(&err)) << err;
-    std::vector<uint8_t> ok;
-    PutVarint64(&ok, 3);
-    ASSERT_TRUE(conn.Send(MsgType::kHelloOk, ok, &err)) << err;
-    Frame frame;
-    while (conn.Recv(&frame, &err) == FrameConn::RecvResult::kOk) {
-      if (frame.type == MsgType::kHeartbeat) {
-        conn.Send(MsgType::kHeartbeatOk, {}, &err);
-      }
-    }
-  });
-
-  {
-    net::WorkerClient::Options options;
-    options.endpoint = "unix:" + dir + "/v3.sock";
-    options.arm_trace = true;  // must be withheld from the v3 hello
-    net::WorkerClient client(options);
-    EXPECT_EQ(client.negotiated_version(), 3u);
-    EXPECT_FALSE(client.failed()) << client.error();
-    // Pre-v4 link: the probe declines client-side, offset stays put.
-    EXPECT_FALSE(client.ProbeClockOffset());
-    EXPECT_EQ(client.clock_offset_us(), 0);
-  }
-  v3_worker.join();
-  close(listen_fd);
-  std::filesystem::remove_all(dir);
-
-  // The v4 hello carried version + flags; the downgraded one is the bare
-  // v3 varint — exactly one byte, no trace flag smuggled after it.
-  size_t pos = 0;
-  uint64_t offered = 0;
-  ASSERT_TRUE(
-      GetVarint64(first_hello.data(), first_hello.size(), &pos, &offered));
-  EXPECT_EQ(offered, net::kProtocolVersion);
-  EXPECT_GT(first_hello.size(), pos);  // flags word present on the v4 dial
-  EXPECT_EQ(second_hello.size(), 1u);
-  EXPECT_EQ(second_hello[0], 3u);
 }
 
 // Garbage after a valid handshake gets a kError frame, then the connection
@@ -1139,8 +1013,7 @@ TEST(ClockOffsetTest, EstimatesInjectedSkewBothDirections) {
     {
       net::WorkerClient::Options copts;
       copts.endpoint = options.listen;
-      net::WorkerClient client(copts);  // probes at handshake on v4 links
-      EXPECT_EQ(client.negotiated_version(), net::kProtocolVersion);
+      net::WorkerClient client(copts);  // probes at handshake
       // Unix-socket RTTs are tens of microseconds; 20 ms of tolerance is
       // orders of magnitude of slack without letting the sign flip.
       EXPECT_NEAR(static_cast<double>(client.clock_offset_us()),
