@@ -520,6 +520,14 @@ double BytesPerWindow(const KmerCountStats& stats) {
                    static_cast<double>(stats.total_windows);
 }
 
+/// Batch pass-2 wall time (decode, probe, filter, route) per counted window.
+double Pass2NsPerWindow(const KmerCountStats& stats) {
+  return stats.total_windows == 0
+             ? 0
+             : stats.pass2_seconds * 1e9 /
+                   static_cast<double>(stats.total_windows);
+}
+
 void WriteCounterJson(std::ofstream& out, const CounterMeasurement& m) {
   out << "  \"superkmer\": {\n"
       << "    \"windows\": " << m.batch.total_windows << ",\n"
@@ -529,6 +537,7 @@ void WriteCounterJson(std::ofstream& out, const CounterMeasurement& m) {
       << "    \"surviving_mers\": " << m.batch.surviving_mers << ",\n"
       << "    \"pass1_seconds\": " << m.batch.pass1_seconds << ",\n"
       << "    \"pass2_seconds\": " << m.batch.pass2_seconds << ",\n"
+      << "    \"pass2_ns_per_window\": " << Pass2NsPerWindow(m.batch) << ",\n"
       << "    \"peak_queued_bytes\": " << m.stream.peak_queued_bytes << ",\n"
       << "    \"queue_bound_bytes\": " << m.stream.queue_bound_bytes << "\n"
       << "  }";
@@ -719,13 +728,13 @@ double RunCounterComparison() {
               serial_seconds);
   std::printf(
       "superkmer windows=%llu distinct=%llu surviving=%llu chunk_bytes=%llu "
-      "B/win=%.2f pass1=%.3fs pass2=%.3fs peak_queued=%llu\n",
+      "B/win=%.2f pass1=%.3fs pass2=%.3fs (%.1f ns/win) peak_queued=%llu\n",
       static_cast<unsigned long long>(sk.batch.total_windows),
       static_cast<unsigned long long>(sk.batch.distinct_mers),
       static_cast<unsigned long long>(sk.batch.surviving_mers),
       static_cast<unsigned long long>(sk.batch.shuffled_bytes),
       BytesPerWindow(sk.batch), sk.batch.pass1_seconds,
-      sk.batch.pass2_seconds,
+      sk.batch.pass2_seconds, Pass2NsPerWindow(sk.batch),
       static_cast<unsigned long long>(sk.stream.peak_queued_bytes));
   const double ratio =
       sk.batch.shuffled_bytes == 0

@@ -113,17 +113,6 @@ bool ParsePass1Payload(const uint8_t* data, size_t size, Pass1Payload* out) {
   return true;
 }
 
-/// Replays packed super-k-mer bytes as canonical codes into the given
-/// consumer — the one place pass 2 undoes what pass 1 encoded. For bytes
-/// this process wrote (queued chunks, CRC-checked spill records, its own
-/// journal) a decode failure is a program invariant violation, not an input
-/// error; bytes from a socket go through ShardCounterBank instead.
-template <typename Fn>
-void ForEachChunkCode(const uint8_t* packed, size_t size, int mer_length,
-                      Fn&& fn) {
-  PPA_CHECK(DecodeSuperkmers(packed, size, mer_length, fn));
-}
-
 /// One shard's open-addressing (linear probing) count table. Keys are
 /// canonical mer codes; the table grows by doubling at ~70% load.
 class CountTable {
@@ -132,28 +121,27 @@ class CountTable {
     Rehash(NextPow2(std::max<uint64_t>(64, expected_distinct * 2)));
   }
 
-  void Add(uint64_t code) {
-    size_t i = Mix64(code) & mask_;
-    for (;;) {
-      if (keys_[i] == code) {
-        if (counts_[i] != UINT32_MAX) ++counts_[i];
-        return;
-      }
-      if (keys_[i] == kEmptySlot) {
-        // Grow only on actual inserts, so increment-only traffic never
-        // pays for (or triggers) a rehash.
-        if ((size_ + 1) * 10 >= capacity_ * 7) {
-          Rehash(capacity_ * 2);
-          i = Mix64(code) & mask_;
-          while (keys_[i] != kEmptySlot) i = (i + 1) & mask_;
-        }
-        keys_[i] = code;
-        counts_[i] = 1;
-        ++size_;
-        return;
-      }
-      i = (i + 1) & mask_;
-    }
+  /// Counts every canonical window of packed super-k-mer bytes — the one
+  /// place pass 2 undoes what pass 1 encoded — adding the decoded window
+  /// count to *decoded. Returns false on malformed bytes (windows decoded
+  /// before the fault stay counted): for bytes this process wrote (queued
+  /// chunks, CRC-checked spill records, its own journal) the callers treat
+  /// that as an invariant violation; ShardCounterBank reports it.
+  bool AddChunk(const uint8_t* packed, size_t size, int mer_length,
+                uint64_t* decoded) {
+    uint64_t batch[kCountProbeBatch];
+    size_t n = 0;
+    auto flush = [&] {
+      AddBatch(batch, n);
+      *decoded += n;
+      n = 0;
+    };
+    const bool ok = DecodeSuperkmers(packed, size, mer_length, [&](uint64_t c) {
+      batch[n++] = c;
+      if (n == kCountProbeBatch) flush();
+    });
+    flush();
+    return ok;
   }
 
   uint64_t size() const { return size_; }
@@ -165,15 +153,56 @@ class CountTable {
     capacity_ = mask_ = 0;
   }
 
-  /// Visits every (code, count) entry.
-  template <typename Fn>
-  void ForEach(Fn fn) const {
+  /// Entries with count >= threshold in slot order, routed to partition
+  /// Mix64(code) % num_workers.
+  MerCounts Survivors(uint32_t threshold, uint32_t num_workers) const {
+    MerCounts out(num_workers);
     for (size_t i = 0; i < capacity_; ++i) {
-      if (keys_[i] != kEmptySlot) fn(keys_[i], counts_[i]);
+      if (keys_[i] != kEmptySlot && counts_[i] >= threshold) {
+        out[Mix64(keys_[i]) % num_workers].emplace_back(keys_[i], counts_[i]);
+      }
     }
+    return out;
   }
 
  private:
+  // Hashes the batch once and prefetches every home slot, so the probes'
+  // cache misses overlap; then inserts in the given order, which keeps the
+  // slot layout (and Survivors order) that one probe per window would give.
+  void AddBatch(const uint64_t* codes, size_t n) {
+    uint64_t hashes[kCountProbeBatch];
+    for (size_t j = 0; j < n; ++j) {
+      hashes[j] = Mix64(codes[j]);
+      __builtin_prefetch(&keys_[hashes[j] & mask_]);
+      __builtin_prefetch(&counts_[hashes[j] & mask_]);
+    }
+    for (size_t j = 0; j < n; ++j) Insert(codes[j], hashes[j]);
+  }
+
+  void Insert(uint64_t code, uint64_t hash) {
+    size_t i = hash & mask_;
+    for (;;) {
+      if (keys_[i] == code) {
+        if (counts_[i] != UINT32_MAX) ++counts_[i];
+        return;
+      }
+      if (keys_[i] == kEmptySlot) {
+        // Grow only on actual inserts, so increment-only traffic never
+        // pays for (or triggers) a rehash.
+        if ((size_ + 1) * 10 >= capacity_ * 7) {
+          Rehash(capacity_ * 2);
+          i = hash & mask_;
+          while (keys_[i] != kEmptySlot) i = (i + 1) & mask_;
+        }
+        keys_[i] = code;
+        counts_[i] = 1;
+        ++size_;
+        return;
+      }
+      i = (i + 1) & mask_;
+    }
+  }
+
   void Rehash(uint64_t new_capacity) {
     std::vector<uint64_t> old_keys = std::move(keys_);
     std::vector<uint32_t> old_counts = std::move(counts_);
@@ -324,6 +353,24 @@ void FillShardStats(const KmerCountConfig& config, KmerCountStats* stats,
   stats->shard_messages = std::move(shard_messages);
 }
 
+/// Concatenates the per-shard slices of each output partition in ascending
+/// shard order — the one output order every counting path shares.
+MerCounts ConcatShards(std::vector<MerCounts>* shard_out, uint32_t W,
+                       ThreadPool& pool) {
+  MerCounts result(W);
+  pool.Run(W, [&](uint32_t d) {
+    size_t total = 0;
+    for (const MerCounts& shard : *shard_out) total += shard[d].size();
+    result[d].reserve(total);
+    for (MerCounts& shard : *shard_out) {
+      auto& slice = shard[d];
+      std::move(slice.begin(), slice.end(), std::back_inserter(result[d]));
+      slice.clear();
+    }
+  });
+  return result;
+}
+
 }  // namespace
 
 MerCounts CountCanonicalMers(const std::vector<Read>& reads,
@@ -386,34 +433,18 @@ MerCounts CountCanonicalMers(const std::vector<Read>& reads,
     // Start from a coverage-informed estimate; the table grows if the data
     // turns out more diverse.
     CountTable table(windows / 4 + 16);
+    uint64_t decoded = 0;
     for (const Pass1Chunk& chunk : shards[s].chunks) {
-      ForEachChunkCode(chunk.packed.data(), chunk.packed.size(),
-                       config.mer_length,
-                       [&](uint64_t code) { table.Add(code); });
+      PPA_CHECK(table.AddChunk(chunk.packed.data(), chunk.packed.size(),
+                               config.mer_length, &decoded));
     }
+    PPA_CHECK(decoded == windows);
     shards[s].chunks.clear();
     shards[s].chunks.shrink_to_fit();
     distinct_per_shard[s] = table.size();
-    shard_out[s].resize(W);
-    table.ForEach([&](uint64_t code, uint32_t count) {
-      if (count >= config.coverage_threshold) {
-        shard_out[s][Mix64(code) % W].emplace_back(code, count);
-      }
-    });
+    shard_out[s] = table.Survivors(config.coverage_threshold, W);
   });
-
-  // Concatenate the per-shard slices of each output partition.
-  MerCounts result(W);
-  pool.Run(W, [&](uint32_t d) {
-    size_t total = 0;
-    for (uint32_t s = 0; s < S; ++s) total += shard_out[s][d].size();
-    result[d].reserve(total);
-    for (uint32_t s = 0; s < S; ++s) {
-      auto& slice = shard_out[s][d];
-      std::move(slice.begin(), slice.end(), std::back_inserter(result[d]));
-      slice.clear();
-    }
-  });
+  MerCounts result = ConcatShards(&shard_out, W, pool);
   const double pass2_seconds = pass2_timer.Seconds();
 
   if (stats != nullptr) {
@@ -857,9 +888,10 @@ struct CounterSession::Impl {
           lock.unlock();
           {
             PPA_TRACE_SPAN_V("count_chunk", "count", chunk.SizeBytes());
-            ForEachChunkCode(chunk.packed.data(), chunk.packed.size(),
-                             config.mer_length,
-                             [&](uint64_t code) { tables[s].Add(code); });
+            uint64_t decoded = 0;
+            PPA_CHECK(tables[s].AddChunk(chunk.packed.data(),
+                                         chunk.packed.size(),
+                                         config.mer_length, &decoded));
           }
           lock.lock();
           queued_bytes -= chunk.SizeBytes();
@@ -904,6 +936,7 @@ struct CounterSession::Impl {
     }
 
     Timer pass2_timer;
+    ThreadPool pool(plan.threads);
     std::vector<MerCounts> shard_out(S);
     for (uint32_t s = 0; s < S; ++s) shard_out[s].resize(W);
     std::vector<uint64_t> distinct_per_shard(S, 0);
@@ -1058,7 +1091,6 @@ struct CounterSession::Impl {
       // partition routing — which keeps the output bit-identical to a
       // failure-free run.
       PPA_TRACE_SPAN("net.degraded_local", "net");
-      ThreadPool pool(plan.threads);
       std::vector<std::string> replay_errors(S);
       pool.Run(S, [&](uint32_t s) {
         if (shard_sealed[s]) return;
@@ -1076,19 +1108,15 @@ struct CounterSession::Impl {
                     std::to_string(s);
                 return;
               }
-              ForEachChunkCode(chunk.packed, chunk.packed_size,
-                               config.mer_length,
-                               [&](uint64_t code) { tables[s].Add(code); });
+              uint64_t decoded = 0;
+              PPA_CHECK(tables[s].AddChunk(chunk.packed, chunk.packed_size,
+                                           config.mer_length, &decoded));
             },
             &jerr);
         if (!ok && replay_errors[s].empty()) replay_errors[s] = jerr;
         if (!replay_errors[s].empty()) return;
         distinct_per_shard[s] = tables[s].size();
-        tables[s].ForEach([&](uint64_t code, uint32_t count) {
-          if (count >= config.coverage_threshold) {
-            shard_out[s][Mix64(code) % W].emplace_back(code, count);
-          }
-        });
+        shard_out[s] = tables[s].Survivors(config.coverage_threshold, W);
         tables[s].Release();
         shard_sealed[s] = true;
       });
@@ -1100,17 +1128,7 @@ struct CounterSession::Impl {
       fail("collection did not converge after repeated worker failures");
     }
 
-    MerCounts result(W);
-    for (uint32_t d = 0; d < W; ++d) {
-      size_t total = 0;
-      for (uint32_t s = 0; s < S; ++s) total += shard_out[s][d].size();
-      result[d].reserve(total);
-      for (uint32_t s = 0; s < S; ++s) {
-        auto& slice = shard_out[s][d];
-        std::move(slice.begin(), slice.end(), std::back_inserter(result[d]));
-        slice.clear();
-      }
-    }
+    MerCounts result = ConcatShards(&shard_out, W, pool);
 
     if (stats != nullptr) {
       *stats = KmerCountStats{};
@@ -1237,9 +1255,9 @@ MerCounts CounterSession::Finish(KmerCountStats* stats) {
                                impl.spill->manager.FilePath(impl.spill_file[s]);
           return;
         }
-        ForEachChunkCode(chunk.packed, chunk.packed_size,
-                         impl.config.mer_length,
-                         [&](uint64_t code) { impl.tables[s].Add(code); });
+        uint64_t decoded = 0;
+        PPA_CHECK(impl.tables[s].AddChunk(chunk.packed, chunk.packed_size,
+                                          impl.config.mer_length, &decoded));
         ++readback_chunks[s];
         readback_bytes[s] += payload.size();
       }
@@ -1259,12 +1277,7 @@ MerCounts CounterSession::Finish(KmerCountStats* stats) {
       }
     }
     distinct_per_shard[s] = impl.tables[s].size();
-    shard_out[s].resize(W);
-    impl.tables[s].ForEach([&](uint64_t code, uint32_t count) {
-      if (count >= impl.config.coverage_threshold) {
-        shard_out[s][Mix64(code) % W].emplace_back(code, count);
-      }
-    });
+    shard_out[s] = impl.tables[s].Survivors(impl.config.coverage_threshold, W);
     // The survivors are routed; the table would otherwise live as long as
     // the session, beside the caller's phase-2 work.
     impl.tables[s].Release();
@@ -1272,17 +1285,7 @@ MerCounts CounterSession::Finish(KmerCountStats* stats) {
   for (const std::string& error : readback_errors) {
     if (!error.empty()) throw std::runtime_error(error);
   }
-  MerCounts result(W);
-  pool.Run(W, [&](uint32_t d) {
-    size_t total = 0;
-    for (uint32_t s = 0; s < S; ++s) total += shard_out[s][d].size();
-    result[d].reserve(total);
-    for (uint32_t s = 0; s < S; ++s) {
-      auto& slice = shard_out[s][d];
-      std::move(slice.begin(), slice.end(), std::back_inserter(result[d]));
-      slice.clear();
-    }
-  });
+  MerCounts result = ConcatShards(&shard_out, W, pool);
 
   if (stats != nullptr) {
     *stats = KmerCountStats{};
@@ -1479,18 +1482,14 @@ bool ShardCounterBank::AddChunkPayload(uint32_t shard, const uint8_t* data,
              " bytes) for shard " + std::to_string(shard);
     return false;
   }
-  // Unlike the in-process ForEachChunkCode, a decode failure here is an
-  // input error (the bytes crossed a socket), so it reports instead of
-  // aborting. A partially counted table is fine: the caller kills the
-  // connection, and the coordinator's ledger reconciliation would reject
-  // the shard anyway.
-  CountTable& table = rep_->tables[shard];
+  // Unlike the in-process sites, which PPA_CHECK bytes this process wrote,
+  // a decode failure here is an input error (the bytes crossed a socket),
+  // so it reports instead of aborting. A partially counted table is fine:
+  // the caller kills the connection, and the coordinator's ledger
+  // reconciliation would reject the shard anyway.
   uint64_t decoded = 0;
-  if (!DecodeSuperkmers(chunk.packed, chunk.packed_size, rep_->mer_length,
-                        [&](uint64_t code) {
-                          table.Add(code);
-                          ++decoded;
-                        })) {
+  if (!rep_->tables[shard].AddChunk(chunk.packed, chunk.packed_size,
+                                    rep_->mer_length, &decoded)) {
     *error = "malformed super-k-mer bytes in a chunk for shard " +
              std::to_string(shard);
     return false;
@@ -1525,13 +1524,7 @@ Partitioned<std::pair<uint64_t, uint32_t>> ShardCounterBank::Finalize(
     uint32_t shard, uint32_t coverage_threshold, uint32_t num_workers) {
   PPA_CHECK(shard < rep_->tables.size());
   PPA_CHECK(num_workers >= 1);
-  Partitioned<std::pair<uint64_t, uint32_t>> out(num_workers);
-  rep_->tables[shard].ForEach([&](uint64_t code, uint32_t count) {
-    if (count >= coverage_threshold) {
-      out[Mix64(code) % num_workers].emplace_back(code, count);
-    }
-  });
-  return out;
+  return rep_->tables[shard].Survivors(coverage_threshold, num_workers);
 }
 
 }  // namespace ppa

@@ -18,8 +18,16 @@
 //
 //   Pass 2 (count): each shard owns a disjoint slice of mer space, so the
 //   shards are counted fully independently in parallel, one open-addressing
-//   (linear-probe) table per shard; super-k-mer chunks are decoded locally
-//   right before the table probes. No atomics, no merging of tables.
+//   (linear-probe) table per shard, 12 bytes per slot in split key and
+//   count arrays. No atomics, no merging of tables. Every counting path
+//   (batch pass 2, the session's counter threads, spill readback, journal
+//   replay, the shard worker's bank) feeds a chunk through one pipeline:
+//   decode kCountProbeBatch canonical codes into a stack buffer, hash each
+//   once and prefetch its home slot in both arrays, then probe the codes in
+//   decode order reusing the hashes. The batch's cache misses overlap
+//   instead of serializing one probe per window, and the in-order inserts
+//   leave the same slot layout — hence the same output order — as probing
+//   each window as it decodes.
 //
 // Survivors of the coverage filter are routed into `num_workers` output
 // partitions by Mix64(code) % num_workers — the same routing the serial
@@ -40,6 +48,7 @@
 #ifndef PPA_DBG_KMER_COUNTER_H_
 #define PPA_DBG_KMER_COUNTER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -54,6 +63,10 @@ namespace ppa {
 
 struct SpillContext;  // spill/spill.h
 class NetContext;     // net/coordinator.h
+
+/// Canonical codes a count table decodes, hashes and prefetches as one
+/// batch before probing them (see "Pass 2" above).
+inline constexpr size_t kCountProbeBatch = 32;
 
 /// Configuration of one counting job.
 struct KmerCountConfig {

@@ -133,6 +133,13 @@ inline bool ParseLogLevel(const std::string& text, LogLevel* level) {
   return true;
 }
 
+/// The --log-level value ParseLogLevel maps back to `level`.
+inline const char* LogLevelName(LogLevel level) {
+  static const char* const kNames[] = {"debug", "info", "warn", "error",
+                                       "silent"};
+  return kNames[static_cast<int>(level)];
+}
+
 #define PPA_LOG(level)                                                \
   ::ppa::internal::LogMessage(::ppa::LogLevel::level, __FILE__, __LINE__) \
       .stream()

@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -465,17 +466,21 @@ TEST(AssembleCliRunTest, DistributedEndpointsMatchInProcess) {
   EXPECT_GT(field(dist_stats, "sent_bytes"), 0u);
 }
 
+// Directory of this test binary, where the build puts the CLI tools.
+std::string BuildDir() {
+  std::string self(4096, '\0');
+  const ssize_t n = readlink("/proc/self/exe", self.data(), self.size());
+  if (n <= 0) return "";
+  self.resize(static_cast<size_t>(n));
+  return self.substr(0, self.rfind('/') + 1);
+}
+
 // The spawned-fleet path: --shard-workers forks real ppa_shard_worker
 // processes (the binary sits next to this test binary in the build tree)
 // and must produce the same contigs. Skipped when the binary is absent
 // (non-standard build layouts).
 TEST(AssembleCliRunTest, DistributedSpawnedWorkersRun) {
-  std::string self(4096, '\0');
-  const ssize_t n = readlink("/proc/self/exe", self.data(), self.size());
-  ASSERT_GT(n, 0);
-  self.resize(static_cast<size_t>(n));
-  const std::string worker_binary =
-      self.substr(0, self.rfind('/') + 1) + "ppa_shard_worker";
+  const std::string worker_binary = BuildDir() + "ppa_shard_worker";
   if (!std::ifstream(worker_binary).good()) {
     GTEST_SKIP() << "ppa_shard_worker not found at " << worker_binary;
   }
@@ -500,6 +505,35 @@ TEST(AssembleCliRunTest, DistributedSpawnedWorkersRun) {
   const AssembleCliOptions spawned = run(2, "spawned");
   EXPECT_EQ(SortedContigSeqs(spawned.contigs_out),
             SortedContigSeqs(local.contigs_out));
+}
+
+// Spawned workers log at the coordinator's level. A worker announces its
+// endpoint at INFO, so a --log-level info run shows those lines (the
+// control) and a --log-level error run of the real binary — coordinator
+// and both workers on the same stderr — has no INFO line at all.
+TEST(AssembleCliRunTest, SpawnedWorkersObeyLogLevel) {
+  const std::string dir = BuildDir();
+  if (!std::ifstream(dir + "ppa_assemble").good() ||
+      !std::ifstream(dir + "ppa_shard_worker").good()) {
+    GTEST_SKIP() << "ppa_assemble or ppa_shard_worker not found in " << dir;
+  }
+  Dataset dataset = MakeDataset(DatasetId::kHc2, 0.02);
+  const std::string prefix = TempPath("hc2_loglevel");
+  std::vector<std::string> written = ExportDatasetFastq(dataset, prefix);
+  auto run = [&](const std::string& level) {
+    const std::string err_path = prefix + "." + level + ".stderr";
+    const std::string cmd = dir + "ppa_assemble --threads 2 --shard-workers 2" +
+                            " --log-level " + level + " --contigs " + prefix +
+                            "." + level + ".fasta " + written[0] +
+                            " > /dev/null 2> " + err_path;
+    EXPECT_EQ(std::system(cmd.c_str()), 0) << ReadFile(err_path);
+    return ReadFile(err_path);
+  };
+  const std::string info = run("info");
+  EXPECT_NE(info.find("ppa_shard_worker: listening on"), std::string::npos)
+      << info;
+  const std::string error = run("error");
+  EXPECT_EQ(error.find("[INFO"), std::string::npos) << error;
 }
 
 // The golden-schema property of --report-json and --trace-out: both files

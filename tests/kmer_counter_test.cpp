@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
 #include <string>
 #include <thread>
 #include <utility>
@@ -256,6 +257,67 @@ TEST(KmerCounterTest, TableGrowthPreservesCounts) {
   auto actual = SortedPartitions(CountCanonicalMers(reads, config, &stats));
   EXPECT_EQ(actual, expected);
   EXPECT_GT(stats.distinct_mers, 60000u);  // enough to force rehashing
+}
+
+// One uniformly random ACGT read of `length` bases.
+Read RandomRead(size_t length, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  Read read{"random", std::string(length, 'A'), ""};
+  for (char& c : read.bases) c = "ACGT"[rng() & 3];
+  return read;
+}
+
+// Pass 2 decodes, hashes and prefetches kCountProbeBatch codes at a time.
+// One read into one shard on one thread makes a single chunk carrying
+// exactly n windows, so every partial, exact and multiple batch length is
+// hit — at k = 32 too, where the window mask is the full 64-bit word.
+TEST(KmerCounterTest, ProbeBatchBoundariesMatchSerial) {
+  constexpr size_t B = kCountProbeBatch;
+  for (int k : {31, 32}) {
+    for (size_t n : {size_t{1}, B - 1, B, B + 1, 2 * B, 17 * B, 256 * B,
+                     256 * B + 3}) {
+      const std::vector<Read> reads = {RandomRead(k + n - 1, 7 * n + k)};
+      KmerCountConfig config;
+      config.mer_length = k;
+      config.num_workers = 3;
+      config.num_threads = 1;
+      config.num_shards = 1;
+      const auto expected =
+          SortedPartitions(CountCanonicalMersSerial(reads, config));
+      KmerCountStats stats;
+      EXPECT_EQ(SortedPartitions(CountCanonicalMers(reads, config, &stats)),
+                expected)
+          << "k=" << k << " n=" << n;
+      EXPECT_EQ(stats.total_windows, n) << "k=" << k << " n=" << n;
+      CounterSession session(config);
+      session.AddBatch(reads);
+      EXPECT_EQ(SortedPartitions(session.Finish()), expected)
+          << "session k=" << k << " n=" << n;
+    }
+  }
+}
+
+// A session's tables start at 1024 slots. One chunk with thousands of
+// distinct mers doubles its shard's table several times, and the growth
+// inserts fall inside probe batches, whose prefetched home slots belong to
+// the old table. The read comes twice, so every mer inserted around a
+// growth must be found again at its new home slot.
+TEST(CounterSessionTest, RehashInsideAProbeBatchMatchesSerial) {
+  const Read read = RandomRead(6000, 41);
+  const std::vector<Read> reads = {read, read};
+  KmerCountConfig config;
+  config.mer_length = 31;
+  config.num_workers = 2;
+  config.num_threads = 1;
+  config.num_shards = 1;
+  const auto expected =
+      SortedPartitions(CountCanonicalMersSerial(reads, config));
+  CounterSession session(config);
+  session.AddBatch(reads);
+  KmerCountStats stats;
+  EXPECT_EQ(SortedPartitions(session.Finish(&stats)), expected);
+  EXPECT_GT(stats.distinct_mers, 4u * 1024);
+  EXPECT_LT(stats.shuffled_bytes, 32u << 10);  // one chunk, below a flush
 }
 
 // Shuffle accounting is exact: messages are super-k-mer records, bytes are
@@ -622,6 +684,38 @@ TEST(ShardCounterBankTest, RefusesTrailingBytes) {
   EXPECT_FALSE(bank.AddChunkPayload(0, payload.data(), payload.size(), &error));
   EXPECT_NE(error.find("malformed super-k-mer"), std::string::npos) << error;
   EXPECT_EQ(bank.chunks(0), 0u);
+}
+
+// Valid records worth several probe batches, then a record whose header
+// promises more bases than the payload holds: the bank must refuse the
+// chunk with a diagnostic even though whole batches were already counted,
+// and the valid records alone, fed to a fresh bank, match the oracle.
+TEST(ShardCounterBankTest, RefusesMalformedBytesAfterFullProbeBatches) {
+  const std::vector<Read> reads = {RandomRead(21 + 3 * kCountProbeBatch + 4,
+                                              12)};
+  uint64_t windows = 0;
+  const std::vector<uint8_t> good = EncodeChunkPayload(reads, 21, &windows);
+  ASSERT_GT(windows, 2 * kCountProbeBatch);
+  std::vector<uint8_t> bad = good;
+  PutVarint64(&bad, 400);  // base_length
+  PutVarint64(&bad, 0);    // first_window_offset
+  bad.push_back(0x1b);     // 4 of the 400 promised bases
+
+  ShardCounterBank broken(21, 1);
+  std::string error;
+  EXPECT_FALSE(broken.AddChunkPayload(0, bad.data(), bad.size(), &error));
+  EXPECT_NE(error.find("malformed super-k-mer"), std::string::npos) << error;
+  EXPECT_EQ(broken.chunks(0), 0u);
+
+  ShardCounterBank bank(21, 1);
+  ASSERT_TRUE(bank.AddChunkPayload(0, good.data(), good.size(), &error))
+      << error;
+  KmerCountConfig config;
+  config.mer_length = 21;
+  config.num_workers = 2;
+  EXPECT_EQ(SortedPartitions(bank.Finalize(0, 1, 2)),
+            SortedPartitions(CountCanonicalMersSerial(reads, config)));
+  EXPECT_EQ(bank.windows(0), windows);
 }
 
 }  // namespace
