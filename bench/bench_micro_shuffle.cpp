@@ -1,20 +1,20 @@
 // Micro-benchmarks (google-benchmark) for the mini-MapReduce shuffle
-// engine: sort group-by vs hash group-by vs hash + map-side combiner, on
-// the two workload shapes the pipeline actually runs through it —
+// engine's hash group-by, with and without the map-side combiner, on the
+// two workload shapes the pipeline actually runs through it —
 //
 //   * DBG construction phase (ii): small keys (vertex codes), small
 //     combinable values (adjacency partials), ~2 pairs per group, measured
 //     on real edge mers counted from the simulated HC-2 dataset;
 //   * contig merging: few keys (labels), fat values (node payloads), long
-//     groups — the shape where moving values through a sort hurts most.
+//     groups — the shape where every extra value move shows.
 //
-// Both strategies produce bit-identical output (shuffle_equivalence_test);
-// this file prices them.
+// The group-by's output is checked against a definitional sort-based
+// reference in tests/mapreduce_test.cpp; this file prices it.
 //
-// The custom main() additionally measures sort vs hash (vs hash+combine)
-// once per process on both workloads — plus the external-spill overhead
-// (spill/spill.h, --spill-mode always vs never) on the adjacency workload —
-// and writes BENCH_shuffle.json (override the path with PPA_BENCH_JSON),
+// The custom main() additionally measures hash vs hash+combine once per
+// process on the adjacency workload and hash on the merge workload — plus
+// the external-spill overhead (spill/spill.h, --spill-mode always vs never)
+// on the adjacency workload — and writes BENCH_shuffle.json (override the path with PPA_BENCH_JSON),
 // mirroring bench_micro_kmer's BENCH_kmer.json so the shuffle engine's perf
 // trajectory accumulates in machine-readable form. CI runs just that part
 // with --benchmark_filter='^NONE$'.
@@ -73,8 +73,7 @@ const Partitioned<std::pair<uint64_t, uint32_t>>& Hc2EdgeMers() {
 
 /// One adjacency-workload job run; shared by the registered benchmarks and
 /// the BENCH_shuffle.json measurement.
-size_t RunAdjacencyJob(ShuffleStrategy strategy, bool combine,
-                       SpillContext* spill, RunStats* stats) {
+size_t RunAdjacencyJob(bool combine, SpillContext* spill, RunStats* stats) {
   const auto& edge_mers = Hc2EdgeMers();
   const int k = 31;
   auto map_fn = [k](const std::pair<uint64_t, uint32_t>& edge_mer,
@@ -112,7 +111,6 @@ size_t RunAdjacencyJob(ShuffleStrategy strategy, bool combine,
   MapReduceConfig config;
   config.num_workers = kWorkers;
   config.num_threads = 1;  // isolate group-by cost from parallelism
-  config.shuffle_strategy = strategy;
   config.job_name = "bench-adjacency";
   config.spill = spill;
   auto result =
@@ -128,31 +126,24 @@ size_t RunAdjacencyJob(ShuffleStrategy strategy, bool combine,
   return outputs;
 }
 
-void RunAdjacencyShuffle(benchmark::State& state, ShuffleStrategy strategy,
-                         bool combine) {
+void RunAdjacencyShuffle(benchmark::State& state, bool combine) {
   uint64_t pairs = 0;
   for (auto _ : state) {
     RunStats stats;
-    benchmark::DoNotOptimize(
-        RunAdjacencyJob(strategy, combine, nullptr, &stats));
+    benchmark::DoNotOptimize(RunAdjacencyJob(combine, nullptr, &stats));
     pairs = stats.pairs_emitted;
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(pairs));
 }
 
-void BM_AdjacencyShuffleSort(benchmark::State& state) {
-  RunAdjacencyShuffle(state, ShuffleStrategy::kSort, /*combine=*/false);
-}
-BENCHMARK(BM_AdjacencyShuffleSort)->Unit(benchmark::kMillisecond);
-
 void BM_AdjacencyShuffleHash(benchmark::State& state) {
-  RunAdjacencyShuffle(state, ShuffleStrategy::kHash, /*combine=*/false);
+  RunAdjacencyShuffle(state, /*combine=*/false);
 }
 BENCHMARK(BM_AdjacencyShuffleHash)->Unit(benchmark::kMillisecond);
 
 void BM_AdjacencyShuffleHashCombine(benchmark::State& state) {
-  RunAdjacencyShuffle(state, ShuffleStrategy::kHash, /*combine=*/true);
+  RunAdjacencyShuffle(state, /*combine=*/true);
 }
 BENCHMARK(BM_AdjacencyShuffleHashCombine)->Unit(benchmark::kMillisecond);
 
@@ -182,8 +173,7 @@ const Partitioned<FatNode>& MergeInput() {
   return input;
 }
 
-size_t RunMergeJob(ShuffleStrategy strategy, SpillContext* spill,
-                   RunStats* stats) {
+size_t RunMergeJob(SpillContext* spill, RunStats* stats) {
   constexpr uint64_t kLabels = 10000;
   auto map_fn = [](const FatNode& node, auto& emitter) {
     emitter.Emit(node.id % kLabels, node);
@@ -198,7 +188,6 @@ size_t RunMergeJob(ShuffleStrategy strategy, SpillContext* spill,
   MapReduceConfig config;
   config.num_workers = kWorkers;
   config.num_threads = 1;
-  config.shuffle_strategy = strategy;
   config.job_name = "bench-merge";
   config.spill = spill;
   auto result =
@@ -210,29 +199,21 @@ size_t RunMergeJob(ShuffleStrategy strategy, SpillContext* spill,
   return outputs;
 }
 
-void RunMergeShuffle(benchmark::State& state, ShuffleStrategy strategy) {
+void BM_MergeShuffleHash(benchmark::State& state) {
   for (auto _ : state) {
     RunStats stats;
-    benchmark::DoNotOptimize(RunMergeJob(strategy, nullptr, &stats));
+    benchmark::DoNotOptimize(RunMergeJob(nullptr, &stats));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(kMergeNodes));
-}
-
-void BM_MergeShuffleSort(benchmark::State& state) {
-  RunMergeShuffle(state, ShuffleStrategy::kSort);
-}
-BENCHMARK(BM_MergeShuffleSort)->Unit(benchmark::kMillisecond);
-
-void BM_MergeShuffleHash(benchmark::State& state) {
-  RunMergeShuffle(state, ShuffleStrategy::kHash);
 }
 BENCHMARK(BM_MergeShuffleHash)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Once-per-process comparison emitted as BENCH_shuffle.json (mirrors
-// BENCH_kmer.json): sort vs hash vs hash+combine on both workloads, plus
-// the external-spill overhead (always vs never) on the adjacency workload.
+// BENCH_kmer.json): hash vs hash+combine on the adjacency workload, hash on
+// the merge workload, plus the external-spill overhead (always vs never) on
+// the adjacency workload.
 // ---------------------------------------------------------------------------
 
 struct JobMeasurement {
@@ -252,30 +233,28 @@ JobMeasurement Measure(JobFn&& job) {
 
 void RunShuffleComparison() {
   bench::PrintHeader(
-      "bench_micro_shuffle: sort vs hash group-by (+ spill overhead), "
+      "bench_micro_shuffle: hash group-by (+ combine, + spill overhead), "
       "HC-2-sim adjacency + fat-value merge workloads");
+  // Build both inputs before any timer starts, so the first measured case
+  // does not pay for counting the edge mers.
+  Hc2EdgeMers();
+  MergeInput();
 
-  const JobMeasurement adj_sort = Measure([](RunStats* s) {
-    return RunAdjacencyJob(ShuffleStrategy::kSort, false, nullptr, s);
-  });
   const JobMeasurement adj_hash = Measure([](RunStats* s) {
-    return RunAdjacencyJob(ShuffleStrategy::kHash, false, nullptr, s);
+    return RunAdjacencyJob(/*combine=*/false, nullptr, s);
   });
   const JobMeasurement adj_combine = Measure([](RunStats* s) {
-    return RunAdjacencyJob(ShuffleStrategy::kHash, true, nullptr, s);
-  });
-  const JobMeasurement merge_sort = Measure([](RunStats* s) {
-    return RunMergeJob(ShuffleStrategy::kSort, nullptr, s);
+    return RunAdjacencyJob(/*combine=*/true, nullptr, s);
   });
   const JobMeasurement merge_hash = Measure([](RunStats* s) {
-    return RunMergeJob(ShuffleStrategy::kHash, nullptr, s);
+    return RunMergeJob(nullptr, s);
   });
   // Spill overhead on the adjacency workload: same hash job, every sealed
   // chunk through disk under a 4 MB budget.
   std::unique_ptr<SpillContext> spill =
       MakeSpillContext(SpillMode::kAlways, "", 4ULL << 20);
   const JobMeasurement adj_spill = Measure([&](RunStats* s) {
-    return RunAdjacencyJob(ShuffleStrategy::kHash, false, spill.get(), s);
+    return RunAdjacencyJob(/*combine=*/false, spill.get(), s);
   });
 
   std::printf("%-24s %10s %12s %12s %12s\n", "case", "seconds", "pairs",
@@ -286,11 +265,9 @@ void RunShuffleComparison() {
                 static_cast<unsigned long long>(m.stats.spilled_bytes),
                 static_cast<unsigned long long>(m.stats.readback_bytes));
   };
-  row("adjacency/sort", adj_sort);
   row("adjacency/hash", adj_hash);
   row("adjacency/hash+combine", adj_combine);
   row("adjacency/hash+spill", adj_spill);
-  row("merge/sort", merge_sort);
   row("merge/hash", merge_hash);
 
   const char* json_env = std::getenv("PPA_BENCH_JSON");
@@ -314,28 +291,19 @@ void RunShuffleComparison() {
       << "  \"dataset_scale\": " << DatasetScaleFromEnv() << ",\n"
       << bench::JsonProvenanceFields()
       << "  \"adjacency\": {\n";
-  obj(out, "sort", adj_sort);
   obj(out, "hash", adj_hash);
   obj(out, "hash_combine", adj_combine);
   obj(out, "hash_spill_always", adj_spill, /*last=*/true);
   out << "  },\n"
       << "  \"merge\": {\n";
-  obj(out, "sort", merge_sort);
   obj(out, "hash", merge_hash, /*last=*/true);
   out << "  },\n"
-      << "  \"sort_over_hash_adjacency\": "
-      << (adj_hash.seconds == 0 ? 0 : adj_sort.seconds / adj_hash.seconds)
-      << ",\n"
-      << "  \"sort_over_hash_merge\": "
-      << (merge_hash.seconds == 0 ? 0 : merge_sort.seconds / merge_hash.seconds)
-      << ",\n"
       << "  \"spill_always_over_never_adjacency\": "
       << (adj_hash.seconds == 0 ? 0 : adj_spill.seconds / adj_hash.seconds)
       << ",\n"
       << "  \"outputs_identical\": "
-      << ((adj_sort.outputs == adj_hash.outputs &&
-           adj_hash.outputs == adj_spill.outputs &&
-           merge_sort.outputs == merge_hash.outputs)
+      << ((adj_hash.outputs == adj_combine.outputs &&
+           adj_hash.outputs == adj_spill.outputs)
               ? "true"
               : "false")
       << "\n}\n";

@@ -176,9 +176,7 @@ void WriteReport(const AssembleCliOptions& opts, std::ostream& out,
   // Combiner effectiveness across the MapReduce jobs: pairs the map UDFs
   // emitted vs pairs that actually crossed the shuffle after map-side
   // combining (equal when no job combined anything).
-  out << "shuffle: strategy="
-      << ShuffleStrategyName(opts.assembler.shuffle_strategy)
-      << " pairs_emitted=" << s.Get("shuffle.pairs_emitted")
+  out << "shuffle: pairs_emitted=" << s.Get("shuffle.pairs_emitted")
       << " pairs_shuffled=" << s.Get("shuffle.pairs_shuffled")
       << " combined_away=" << s.Get("shuffle.combined_away") << '\n';
   WriteSpillLine(out, opts.assembler.spill_mode, s);
@@ -308,9 +306,6 @@ std::string AssembleCliUsage() {
       "                      unless scanners outrun them)\n"
       "  --rounds INT        error-correction rounds (default 1)\n"
       "  --labeling lr|sv    contig labeling method (default lr)\n"
-      "  --shuffle sort|hash MapReduce shuffle group-by strategy (default\n"
-      "                      hash; sort is the reference path — both give\n"
-      "                      identical contigs)\n"
       "\n"
       "counting options:\n"
       "  --shards INT        counting shards; 0 = auto\n"
@@ -458,13 +453,6 @@ bool ParseAssembleCliArgs(int argc, const char* const* argv,
         opts->labeling = LabelingMethod::kSimplifiedSv;
       } else {
         *error = "--labeling: expected 'lr' or 'sv', got '" + value + "'";
-        return false;
-      }
-    } else if (arg == "--shuffle") {
-      if (!need_value(i, arg)) return false;
-      const std::string value = argv[++i];
-      if (!ParseShuffleStrategy(value, &opts->assembler.shuffle_strategy)) {
-        *error = "--shuffle: expected 'sort' or 'hash', got '" + value + "'";
         return false;
       }
     } else if (arg == "--shards") {
@@ -719,8 +707,6 @@ int RunAssembleCli(const AssembleCliOptions& opts, std::ostream& out,
 
       if (write_json) {
         info.counting_mode = "stream";
-        info.shuffle_strategy =
-            ShuffleStrategyName(assembler_options.shuffle_strategy);
         info.spill_mode = SpillModeName(assembler_options.spill_mode);
         info.wall_seconds = data.wall_seconds;
         info.workers = workers;
@@ -779,8 +765,6 @@ int RunAssembleCli(const AssembleCliOptions& opts, std::ostream& out,
 
       if (write_json) {
         info.counting_mode = CountingModeName(opts);
-        info.shuffle_strategy =
-            ShuffleStrategyName(opts.assembler.shuffle_strategy);
         info.spill_mode = SpillModeName(opts.assembler.spill_mode);
         info.wall_seconds = wall_seconds;
         info.workers = result.worker_telemetry;

@@ -58,8 +58,6 @@ AssemblyResult Assembler::Assemble(const std::vector<Read>& reads,
   PPA_LOG(kInfo) << "k-mer counting: sharded"
                  << " (threads=" << options.num_threads
                  << ", shards=" << options.kmer_shards << "; 0 = auto)"
-                 << ", shuffle="
-                 << ShuffleStrategyName(options.shuffle_strategy)
                  << ", spill=" << SpillModeName(options.spill_mode);
   if (options.net_context != nullptr) {
     PPA_LOG(kInfo) << "distributed: " << options.net_context->description();

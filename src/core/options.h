@@ -40,11 +40,6 @@ struct AssemblerOptions {
   // 31).
   uint32_t minimizer_len = 11;
 
-  // MapReduce shuffle (every grouping operation: DBG construction phase
-  // (ii), both contig-merging jobs, bubble filtering). kSort is the
-  // reference path; both produce bit-identical pipeline output.
-  ShuffleStrategy shuffle_strategy = ShuffleStrategy::kHash;
-
   // External spill (spill/spill.h): ppa_assemble --spill-mode/--spill-dir/
   // --memory-budget-bytes. kNever keeps every chunk queue memory-resident
   // (the oracle path); kAuto seals-and-spills to per-shard files when
@@ -146,14 +141,13 @@ inline std::unique_ptr<NetContext> WireNetContext(AssemblerOptions* options) {
 }
 
 /// The one place the assembly operations derive a MapReduceConfig from the
-/// pipeline options, so num_workers / num_threads / shuffle_strategy cannot
+/// pipeline options, so num_workers / num_threads / spill cannot
 /// drift between call sites.
 inline MapReduceConfig MakeMrConfig(const AssemblerOptions& options,
                                     std::string job_name) {
   MapReduceConfig config;
   config.num_workers = options.num_workers;
   config.num_threads = options.num_threads;
-  config.shuffle_strategy = options.shuffle_strategy;
   config.job_name = std::move(job_name);
   config.spill = options.spill_context;
   return config;

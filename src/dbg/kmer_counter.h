@@ -114,16 +114,13 @@ struct KmerCountStats {
   double pass1_seconds = 0;     // partition pass
   double pass2_seconds = 0;     // count pass
 
-  // Pass-1 shuffle volume. shuffled_messages counts the shipped units
-  // (super-k-mer records, or — serial counter — pre-aggregated (code,
-  // count) pairs); shuffled_bytes is the measured chunk payload.
-  // message_size is the fixed per-unit size, or 0 when variable (sharded
-  // counters — shuffled_bytes is authoritative).
+  // Pass-1 shuffle volume of the sharded counters (0 for serial):
+  // shuffled_messages counts the shipped super-k-mer records,
+  // shuffled_bytes is the measured chunk payload.
   int minimizer_len = 0;        // effective m (sharded counters only)
   uint64_t superkmers = 0;      // super-k-mer records (sharded only)
   uint64_t shuffled_messages = 0;
   uint64_t shuffled_bytes = 0;
-  uint32_t message_size = 0;
 
   // Measured per-shard pass-2 load (sharded counters only; empty for
   // serial): windows counted, chunk payload bytes, shipped units. Used for

@@ -143,8 +143,6 @@ void WriteRunReportJson(std::ostream& out, const SnapshotView& snapshot,
   w.EndArray();
   w.Key("counting_mode");
   w.Value(info.counting_mode);
-  w.Key("shuffle_strategy");
-  w.Value(info.shuffle_strategy);
   w.Key("spill_mode");
   w.Value(info.spill_mode);
   w.Key("wall_seconds");

@@ -83,9 +83,8 @@ class SnapshotView {
 /// Non-numeric run facts carried into run.json alongside the snapshot.
 struct RunReportInfo {
   std::vector<std::string> inputs;
-  std::string counting_mode;     // "stream" | "in-memory-sharded"
-  std::string shuffle_strategy;  // "sort" | "hash"
-  std::string spill_mode;        // "never" | "auto" | "always"
+  std::string counting_mode;  // "stream" | "in-memory-sharded"
+  std::string spill_mode;     // "never" | "auto" | "always"
   double wall_seconds = 0;
   std::vector<TelemetrySnapshot> workers;  // per-worker wire telemetry
 };

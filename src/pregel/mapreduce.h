@@ -22,20 +22,17 @@
 //   pair O(log n) times while doubling. With a combiner (see below) the
 //   pairs pass through a per-source open-addressing table first.
 //
-//   Reduce side — per destination, pairs are grouped either by
-//   ShuffleStrategy::kSort (stable sort by key + linear scan; the original
-//   engine and the equivalence oracle in tests) or by ShuffleStrategy::kHash
-//   (the kmer_counter idiom: an open-addressing key index assigns each pair
-//   a dense group id in one pass, then a counting-scatter lays the values
-//   out contiguously per group — O(n) instead of O(n log n), and only the
-//   distinct keys are ever sorted).
+//   Reduce side — per destination, an open-addressing key index assigns
+//   each pair a dense group id in one pass, then a counting scatter lays the
+//   values out contiguously per group (the kmer_counter idiom): O(n)
+//   grouping, and only the distinct keys are ever sorted.
 //
-// Determinism contract (both strategies, any thread count):
+// Determinism contract (any thread count):
 //   * reduce_fn is invoked in ascending key order within each destination;
 //   * each group's values arrive in (source, emit) order.
-// This makes kSort and kHash produce bit-identical outputs — property
-// tests assert the whole pipeline agrees between them — and makes output
-// independent of num_threads.
+// That is the paper's "sorted by key" group-by, so output is independent
+// of num_threads. tests/mapreduce_test.cpp checks it against a definitional
+// reference (stable sort of each destination's pairs by key).
 //
 // Combiners: the overload taking combine_fn(V&, V&&) pre-aggregates
 // same-key emissions on the map side (per source), so associative reducers
@@ -110,34 +107,10 @@ struct MrKeyHash<std::pair<uint64_t, uint64_t>> {
   }
 };
 
-/// How the reduce side groups pairs by key.
-enum class ShuffleStrategy : uint8_t {
-  kSort = 0,  // stable sort + linear scan (the reference/oracle path)
-  kHash = 1,  // open-addressing group-by (default; O(n) grouping)
-};
-
-inline const char* ShuffleStrategyName(ShuffleStrategy s) {
-  return s == ShuffleStrategy::kSort ? "sort" : "hash";
-}
-
-inline bool ParseShuffleStrategy(const std::string& name,
-                                 ShuffleStrategy* out) {
-  if (name == "sort") {
-    *out = ShuffleStrategy::kSort;
-    return true;
-  }
-  if (name == "hash") {
-    *out = ShuffleStrategy::kHash;
-    return true;
-  }
-  return false;
-}
-
 /// Mini MapReduce job configuration.
 struct MapReduceConfig {
   uint32_t num_workers = 16;
   unsigned num_threads = 0;  // 0 = hardware concurrency.
-  ShuffleStrategy shuffle_strategy = ShuffleStrategy::kHash;
   std::string job_name = "mini-mr";
 
   // External spill (spill/spill.h): with a context whose mode is not
@@ -162,17 +135,20 @@ constexpr size_t kChunkPairs = 1024;
 /// dbg/kmer_counter.h table idiom generalized to composite keys: slots hold
 /// dense indices instead of keys, so no sentinel key is needed). Doubles at
 /// ~70% load. Assigned indices are insertion-ordered and survive rehashing.
+///
+/// The home slot comes from the high bits of MrKeyHash: destinations are
+/// chosen by MrKeyHash % num_workers, so within one destination the low
+/// bits are all equal for power-of-two worker counts (see util/flat_index.h).
 template <typename K>
 class KeyIndex {
  public:
   explicit KeyIndex(size_t expected = 0) {
-    capacity_ = std::bit_ceil(std::max<size_t>(64, expected * 2));
-    slots_.assign(capacity_, 0);
+    Resize(std::bit_ceil(std::max<size_t>(64, expected * 2)));
   }
 
   /// Returns the dense index of `key`, inserting it if new.
   uint32_t FindOrAdd(const K& key) {
-    size_t i = MrKeyHash<K>{}(key) & (capacity_ - 1);
+    size_t i = Home(key);
     for (;;) {
       const uint32_t slot = slots_[i];
       if (slot == 0) {
@@ -193,11 +169,20 @@ class KeyIndex {
   const std::vector<K>& keys() const { return keys_; }
 
  private:
-  void Rehash(size_t new_capacity) {
-    capacity_ = new_capacity;
+  size_t Home(const K& key) const {
+    return static_cast<size_t>(MrKeyHash<K>{}(key) >> shift_);
+  }
+
+  void Resize(size_t capacity) {
+    capacity_ = capacity;
+    shift_ = 64 - std::countr_zero(capacity);
     slots_.assign(capacity_, 0);
+  }
+
+  void Rehash(size_t new_capacity) {
+    Resize(new_capacity);
     for (size_t idx = 0; idx < keys_.size(); ++idx) {
-      size_t i = MrKeyHash<K>{}(keys_[idx]) & (capacity_ - 1);
+      size_t i = Home(keys_[idx]);
       while (slots_[i] != 0) i = (i + 1) & (capacity_ - 1);
       slots_[i] = static_cast<uint32_t>(idx + 1);
     }
@@ -206,6 +191,7 @@ class KeyIndex {
   std::vector<uint32_t> slots_;  // 0 = empty, else dense index + 1
   std::vector<K> keys_;
   size_t capacity_ = 0;
+  int shift_ = 64;  // MrKeyHash(key) >> shift_ is the home slot.
 };
 
 /// Sealed chunk lists of one map task: chunks[dst] holds the task's routed
@@ -505,41 +491,6 @@ class Emitter {
   uint64_t shuffled_ = 0;
 };
 
-/// Groups one destination's chunks with a stable sort and reduces each run
-/// of equal keys. Consumes (and frees) the chunks.
-template <typename K, typename V, typename Out, typename ReduceFn>
-uint64_t SortGroupBy(std::vector<std::vector<std::pair<K, V>>*>& chunks,
-                     size_t total, ReduceFn& reduce_fn,
-                     std::vector<Out>& out) {
-  std::vector<std::pair<K, V>> pairs;
-  pairs.reserve(total);
-  for (auto* chunk : chunks) {
-    std::move(chunk->begin(), chunk->end(), std::back_inserter(pairs));
-    *chunk = {};
-  }
-  // Stable: equal-key pairs keep (source, emit) order, matching the hash
-  // strategy's arrival-order scatter so the two are bit-identical.
-  std::stable_sort(pairs.begin(), pairs.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first < b.first;
-                   });
-  uint64_t reduce_ops = 0;
-  size_t i = 0;
-  std::vector<V> group;
-  while (i < pairs.size()) {
-    size_t j = i;
-    group.clear();
-    while (j < pairs.size() && pairs[j].first == pairs[i].first) {
-      group.push_back(std::move(pairs[j].second));
-      ++j;
-    }
-    reduce_fn(pairs[i].first, std::span<V>(group), out);
-    reduce_ops += group.size();
-    i = j;
-  }
-  return reduce_ops;
-}
-
 /// Groups one destination's chunks with an open-addressing key index and a
 /// counting scatter, then reduces groups in ascending key order. Consumes
 /// (and frees) the chunks. O(total) grouping; only distinct keys are sorted.
@@ -667,7 +618,7 @@ Partitioned<Out> RunMapReduceImpl(const Partitioned<In>& input, MapFn map_fn,
   pool.Run(W, [&](uint32_t dst) {
     PPA_TRACE_SPAN("reduce_phase", "mapreduce");
     // Collect this destination's chunks in (source, emit) order — the
-    // deterministic arrival order both strategies preserve within groups.
+    // deterministic arrival order the group-by preserves within groups.
     // Spilled chunks are read back here, shard-locally, and slotted into
     // the lane positions their placeholders hold, so the order is the one
     // the in-memory path would have produced. Errors are collected, not
@@ -705,9 +656,7 @@ Partitioned<Out> RunMapReduceImpl(const Partitioned<In>& input, MapFn map_fn,
       return;
     }
     reduce_ops[dst] =
-        config.shuffle_strategy == ShuffleStrategy::kSort
-            ? SortGroupBy<K, V, Out>(chunks, total, reduce_fn, output[dst])
-            : HashGroupBy<K, V, Out>(chunks, total, reduce_fn, output[dst]);
+        HashGroupBy<K, V, Out>(chunks, total, reduce_fn, output[dst]);
   });
   for (const std::string& error : readback_errors) {
     if (!error.empty()) throw std::runtime_error(error);
@@ -749,8 +698,8 @@ Partitioned<Out> RunMapReduceImpl(const Partitioned<In>& input, MapFn map_fn,
 /// Returns the reduce outputs, partitioned by the shuffle hash of the key
 /// that produced them (so k-mer-keyed outputs land on the k-mer's worker).
 /// reduce_fn is invoked in ascending key order per destination, and each
-/// group's values arrive in (source, emit) order — under either
-/// shuffle strategy and any thread count, so outputs are deterministic.
+/// group's values arrive in (source, emit) order — under any thread
+/// count, so outputs are deterministic.
 /// If `stats` is non-null, shuffle volumes are appended as two supersteps
 /// (map+shuffle, reduce).
 template <typename In, typename K, typename V, typename Out, typename MapFn,

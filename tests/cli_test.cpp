@@ -44,7 +44,7 @@ TEST(AssembleCliParseTest, FlagsMapOntoOptions) {
   std::string error;
   ASSERT_TRUE(Parse({"-k", "21", "--theta", "3", "--tip-length", "60",
                      "--bubble-edit", "4", "--workers", "8", "--threads", "2",
-                     "--rounds", "2", "--labeling", "sv", "--shuffle", "sort",
+                     "--rounds", "2", "--labeling", "sv",
                      "--shards", "16", "--minimizer-len", "9",
                      "--queue-bytes", "5000", "--spill-mode", "auto",
                      "--memory-budget-bytes", "123456", "--spill-dir",
@@ -63,7 +63,6 @@ TEST(AssembleCliParseTest, FlagsMapOntoOptions) {
   EXPECT_EQ(opts.assembler.num_threads, 2u);
   EXPECT_EQ(opts.assembler.error_correction_rounds, 2);
   EXPECT_EQ(opts.labeling, LabelingMethod::kSimplifiedSv);
-  EXPECT_EQ(opts.assembler.shuffle_strategy, ShuffleStrategy::kSort);
   EXPECT_EQ(opts.assembler.kmer_shards, 16u);
   EXPECT_EQ(opts.assembler.minimizer_len, 9u);
   EXPECT_EQ(opts.assembler.kmer_queue_bytes, 5000u);
@@ -105,11 +104,9 @@ TEST(AssembleCliParseTest, RejectsBadInput) {
   opts = {};
   EXPECT_FALSE(Parse({"--workers", "0", "in.fastq"}, &opts, &error));
   opts = {};
-  EXPECT_FALSE(Parse({"--shuffle", "merge", "in.fastq"}, &opts, &error));
-  EXPECT_NE(error.find("--shuffle"), std::string::npos);
-  opts = {};
   // Removed flags are refused like any unknown flag.
-  for (const char* removed : {"--pass1-encoding", "--serial-counting"}) {
+  for (const char* removed :
+       {"--pass1-encoding", "--serial-counting", "--shuffle"}) {
     EXPECT_FALSE(Parse({removed, "in.fastq"}, &opts, &error));
     EXPECT_NE(error.find(std::string("unknown flag '") + removed + "'"),
               std::string::npos)
@@ -285,8 +282,7 @@ TEST(AssembleCliRunTest, StreamedFileRunMatchesInMemoryPipeline) {
   // engine's combiner effectiveness (combining must have removed pairs).
   const std::string stats = ReadFile(opts.stats_out);
   EXPECT_NE(stats.find("mode=stream"), std::string::npos);
-  EXPECT_NE(stats.find("shuffle: strategy=hash pairs_emitted="),
-            std::string::npos)
+  EXPECT_NE(stats.find("\nshuffle: pairs_emitted="), std::string::npos)
       << stats;
   EXPECT_EQ(stats.find("combined_away=0\n"), std::string::npos) << stats;
   EXPECT_NE(stats.find("peak_queued_bytes="), std::string::npos);
@@ -575,7 +571,7 @@ TEST(AssembleCliRunTest, ReportJsonAndTraceMatchTextReport) {
   EXPECT_EQ(run.Find("schema")->str, "ppa.run_report.v1");
   EXPECT_EQ(run.Find("counting_mode")->str, "stream");
   EXPECT_EQ(run.Find("pass1_encoding"), nullptr);
-  EXPECT_EQ(run.Find("shuffle_strategy")->str, "hash");
+  EXPECT_EQ(run.Find("shuffle_strategy"), nullptr);
   ASSERT_EQ(run.Find("inputs")->array.size(), 1u);
   EXPECT_EQ(run.Find("inputs")->array[0].str, written[0]);
   ASSERT_NE(run.Find("workers"), nullptr);  // present (empty: in-process)

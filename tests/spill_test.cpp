@@ -473,7 +473,6 @@ TEST(CounterSessionSpillTest, AbandonedSessionCleansUp) {
 /// bucket, reduce = ordered concatenation marker (order-sensitive, so any
 /// readback misordering changes the output).
 Partitioned<std::pair<uint64_t, uint64_t>> RunSumJob(SpillContext* spill,
-                                                     ShuffleStrategy strategy,
                                                      RunStats* stats) {
   constexpr uint32_t kWorkers = 8;
   std::vector<uint64_t> data(40000);
@@ -494,7 +493,6 @@ Partitioned<std::pair<uint64_t, uint64_t>> RunSumJob(SpillContext* spill,
   MapReduceConfig config;
   config.num_workers = kWorkers;
   config.num_threads = 4;
-  config.shuffle_strategy = strategy;
   config.job_name = "spill-sum-test";
   config.spill = spill;
   return RunMapReduce<uint64_t, uint64_t, uint64_t,
@@ -504,25 +502,20 @@ Partitioned<std::pair<uint64_t, uint64_t>> RunSumJob(SpillContext* spill,
 
 TEST(ShuffleSpillTest, AlwaysAndAutoMatchNever) {
   RunStats never_stats;
-  const auto expected =
-      RunSumJob(nullptr, ShuffleStrategy::kHash, &never_stats);
+  const auto expected = RunSumJob(nullptr, &never_stats);
   EXPECT_EQ(never_stats.spilled_chunks, 0u);
   for (SpillMode mode : {SpillMode::kAlways, SpillMode::kAuto}) {
-    for (ShuffleStrategy strategy :
-         {ShuffleStrategy::kHash, ShuffleStrategy::kSort}) {
-      std::unique_ptr<SpillContext> context =
-          MakeSpillContext(mode, "", 64 << 10);
-      RunStats stats;
-      const auto actual = RunSumJob(context.get(), strategy, &stats);
-      EXPECT_EQ(actual, expected)
-          << SpillModeName(mode) << "/" << ShuffleStrategyName(strategy);
-      EXPECT_EQ(stats.readback_chunks, stats.spilled_chunks);
-      EXPECT_EQ(stats.readback_bytes, stats.spilled_bytes);
-      if (mode == SpillMode::kAlways) {
-        EXPECT_GT(stats.spilled_chunks, 0u);
-        EXPECT_GT(stats.spill_files, 0u);
-        EXPECT_LE(context->budget.peak_resident_bytes(), 64u << 10);
-      }
+    std::unique_ptr<SpillContext> context =
+        MakeSpillContext(mode, "", 64 << 10);
+    RunStats stats;
+    const auto actual = RunSumJob(context.get(), &stats);
+    EXPECT_EQ(actual, expected) << SpillModeName(mode);
+    EXPECT_EQ(stats.readback_chunks, stats.spilled_chunks);
+    EXPECT_EQ(stats.readback_bytes, stats.spilled_bytes);
+    if (mode == SpillMode::kAlways) {
+      EXPECT_GT(stats.spilled_chunks, 0u);
+      EXPECT_GT(stats.spill_files, 0u);
+      EXPECT_LE(context->budget.peak_resident_bytes(), 64u << 10);
     }
   }
 }
