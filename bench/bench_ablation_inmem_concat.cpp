@@ -5,6 +5,7 @@
 // Measures the labeling->merging handoff: once with the labeled vertex set
 // passed in memory (as PPA-assembler does), once with the labels serialized
 // to part files and re-parsed (as "existing Pregel-like systems require").
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -44,26 +45,40 @@ int main() {
     store.Clear();
     // Dump one record per labeled vertex, as job 1's output would be.
     std::vector<std::string> lines;
-    for (const auto& [id, label] : labels.labels) {
-      lines.push_back(std::to_string(id) + "\t" + std::to_string(label));
+    for (uint32_t p = 0; p < dbg.graph.num_workers(); ++p) {
+      const auto& vertices = dbg.graph.partition(p).vertices;
+      for (size_t slot = 0; slot < vertices.size(); ++slot) {
+        const uint64_t label = labels.labels[p][slot];
+        if (label == kNoLabel) continue;
+        lines.push_back(std::to_string(vertices[slot].id) + "\t" +
+                        std::to_string(label));
+      }
     }
     store.WritePart(0, lines);
-    // Reload and re-parse, as job 2's input phase would.
+    // Reload and re-parse, as job 2's input phase would: each id finds its
+    // slot through its partition's id index.
+    AssemblyGraph graph = dbg.graph;
     LabelingResult reloaded;
+    reloaded.AlignWith(graph);
     for (const std::string& line : store.ReadAll()) {
       size_t tab = line.find('\t');
-      reloaded.labels[std::stoull(line.substr(0, tab))] =
+      const uint64_t id = std::stoull(line.substr(0, tab));
+      const uint32_t p = PartitionOf(id, graph.num_workers());
+      reloaded.labels[p][graph.partition(p).index.Find(id)] =
           std::stoull(line.substr(tab + 1));
     }
     bytes = store.TotalBytes();
-    AssemblyGraph graph = dbg.graph;
     std::vector<uint32_t> ordinals(options.num_workers, 0);
     MergeContigs(graph, reloaded, options, &ordinals);
     store.Clear();
   }
   double round_trip_secs = round_trip.Seconds();
 
-  std::printf("Labeled vertices: %zu\n", labels.labels.size());
+  size_t labeled = 0;
+  for (const auto& part : labels.labels) {
+    labeled += part.size() - std::count(part.begin(), part.end(), kNoLabel);
+  }
+  std::printf("Labeled vertices: %zu\n", labeled);
   std::printf("In-memory handoff + merge:   %8.3f s\n", in_mem_secs);
   std::printf("Text-store round trip + merge: %6.3f s (%llu bytes written)\n",
               round_trip_secs, static_cast<unsigned long long>(bytes));

@@ -5,8 +5,8 @@
 //   * DBG construction phase (ii): small keys (vertex codes), small
 //     combinable values (adjacency partials), ~2 pairs per group, measured
 //     on real edge mers counted from the simulated HC-2 dataset;
-//   * contig merging: few keys (labels), fat values (node payloads), long
-//     groups — the shape where every extra value move shows.
+//   * contig merging: few keys (labels), fat values, long groups — the
+//     shape where every extra value move shows.
 //
 // The group-by's output is checked against a definitional sort-based
 // reference in tests/mapreduce_test.cpp; this file prices it.
@@ -16,8 +16,10 @@
 // the external-spill overhead (spill/spill.h, --spill-mode always vs never)
 // on the adjacency workload — and writes BENCH_shuffle.json (override the path with PPA_BENCH_JSON),
 // mirroring bench_micro_kmer's BENCH_kmer.json so the shuffle engine's perf
-// trajectory accumulates in machine-readable form. CI runs just that part
-// with --benchmark_filter='^NONE$'.
+// trajectory accumulates in machine-readable form. Its "outputs_identical"
+// is true only when the hash, hash+combine and hash+spill runs reduce to
+// the same order-sensitive output digest. CI runs just that part with
+// --benchmark_filter='^NONE$' and gates on that flag.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -38,6 +40,7 @@
 #include "pregel/mapreduce.h"
 #include "sim/datasets.h"
 #include "spill/spill.h"
+#include "util/hash.h"
 #include "util/random.h"
 #include "util/timer.h"
 
@@ -58,6 +61,27 @@ struct AdjPartial {
   uint32_t covs[16] = {};
 };
 
+/// What a job produced: how many outputs, and an order-sensitive digest of
+/// them (destination by destination, in reduce order), so two jobs agree
+/// only if they reduce to the same values in the same places.
+struct JobOutput {
+  size_t count = 0;
+  uint64_t digest = 0;
+};
+
+template <typename A, typename B>
+JobOutput Summarize(const Partitioned<std::pair<A, B>>& result) {
+  JobOutput out;
+  for (const auto& part : result) {
+    out.count += part.size();
+    out.digest = HashCombine(out.digest, part.size());
+    for (const auto& [a, b] : part) {
+      out.digest = HashCombine(HashCombine(out.digest, a), b);
+    }
+  }
+  return out;
+}
+
 /// Edge-mer survivors of HC-2-sim counting (k = 31, theta = 2), the real
 /// input of DBG construction phase (ii).
 const Partitioned<std::pair<uint64_t, uint32_t>>& Hc2EdgeMers() {
@@ -73,7 +97,7 @@ const Partitioned<std::pair<uint64_t, uint32_t>>& Hc2EdgeMers() {
 
 /// One adjacency-workload job run; shared by the registered benchmarks and
 /// the BENCH_shuffle.json measurement.
-size_t RunAdjacencyJob(bool combine, SpillContext* spill, RunStats* stats) {
+JobOutput RunAdjacencyJob(bool combine, SpillContext* spill, RunStats* stats) {
   const auto& edge_mers = Hc2EdgeMers();
   const int k = 31;
   auto map_fn = [k](const std::pair<uint64_t, uint32_t>& edge_mer,
@@ -121,9 +145,7 @@ size_t RunAdjacencyJob(bool combine, SpillContext* spill, RunStats* stats) {
           : RunMapReduce<std::pair<uint64_t, uint32_t>, uint64_t,
                          AdjPartial, std::pair<uint64_t, uint32_t>>(
                 edge_mers, map_fn, reduce_fn, config, stats);
-  size_t outputs = 0;
-  for (const auto& part : result) outputs += part.size();
-  return outputs;
+  return Summarize(result);
 }
 
 void RunAdjacencyShuffle(benchmark::State& state, bool combine) {
@@ -151,8 +173,8 @@ BENCHMARK(BM_AdjacencyShuffleHashCombine)->Unit(benchmark::kMillisecond);
 // Merge workload: label -> fat node payloads, long groups.
 // ---------------------------------------------------------------------------
 
-/// Stand-in for the AsmNode payloads contig merging ships: big enough that
-/// every extra move in the group-by is visible.
+/// A fat value, big enough that every extra move in the group-by is
+/// visible (contig merging itself ships 56-byte path records).
 struct FatNode {
   uint64_t id = 0;
   uint8_t payload[120] = {};
@@ -173,7 +195,7 @@ const Partitioned<FatNode>& MergeInput() {
   return input;
 }
 
-size_t RunMergeJob(SpillContext* spill, RunStats* stats) {
+JobOutput RunMergeJob(SpillContext* spill, RunStats* stats) {
   constexpr uint64_t kLabels = 10000;
   auto map_fn = [](const FatNode& node, auto& emitter) {
     emitter.Emit(node.id % kLabels, node);
@@ -194,9 +216,7 @@ size_t RunMergeJob(SpillContext* spill, RunStats* stats) {
       RunMapReduce<FatNode, uint64_t, FatNode,
                    std::pair<uint64_t, uint64_t>>(MergeInput(), map_fn,
                                                   reduce_fn, config, stats);
-  size_t outputs = 0;
-  for (const auto& part : result) outputs += part.size();
-  return outputs;
+  return Summarize(result);
 }
 
 void BM_MergeShuffleHash(benchmark::State& state) {
@@ -218,7 +238,7 @@ BENCHMARK(BM_MergeShuffleHash)->Unit(benchmark::kMillisecond);
 
 struct JobMeasurement {
   double seconds = 0;
-  size_t outputs = 0;
+  JobOutput output;
   RunStats stats;
 };
 
@@ -226,7 +246,7 @@ template <typename JobFn>
 JobMeasurement Measure(JobFn&& job) {
   JobMeasurement m;
   Timer timer;
-  m.outputs = job(&m.stats);
+  m.output = job(&m.stats);
   m.seconds = timer.Seconds();
   return m;
 }
@@ -277,12 +297,18 @@ void RunShuffleComparison() {
   const auto obj = [](std::ofstream& out, const char* key,
                       const JobMeasurement& m, bool last = false) {
     out << "    \"" << key << "\": {\"seconds\": " << m.seconds
-        << ", \"outputs\": " << m.outputs
+        << ", \"outputs\": " << m.output.count
+        << ", \"output_digest\": \"" << std::hex << m.output.digest
+        << std::dec << "\""
         << ", \"pairs_emitted\": " << m.stats.pairs_emitted
         << ", \"pairs_shuffled\": " << m.stats.pairs_shuffled
         << ", \"spilled_bytes\": " << m.stats.spilled_bytes
         << ", \"readback_bytes\": " << m.stats.readback_bytes << "}"
         << (last ? "\n" : ",\n");
+  };
+  const auto same = [](const JobMeasurement& a, const JobMeasurement& b) {
+    return a.output.count == b.output.count &&
+           a.output.digest == b.output.digest;
   };
   std::ofstream out(json_path);
   out << "{\n"
@@ -302,8 +328,7 @@ void RunShuffleComparison() {
       << (adj_hash.seconds == 0 ? 0 : adj_spill.seconds / adj_hash.seconds)
       << ",\n"
       << "  \"outputs_identical\": "
-      << ((adj_hash.outputs == adj_combine.outputs &&
-           adj_hash.outputs == adj_spill.outputs)
+      << ((same(adj_hash, adj_combine) && same(adj_hash, adj_spill))
               ? "true"
               : "false")
       << "\n}\n";

@@ -28,7 +28,7 @@ struct ClaimVertex {
   std::vector<uint64_t> broadcast_targets;  // boundary fan-out
   uint64_t nbr[2] = {kNullId, kNullId};
   bool is_end[2] = {false, false};
-  uint64_t label = UINT64_MAX;
+  uint64_t label = kNoLabel;
 
   template <typename Ctx>
   void Compute(Ctx& ctx, std::span<const ClaimMessage> msgs) {
@@ -90,32 +90,22 @@ LabelingResult SequentialLabel(
     const std::string& job_name, PipelineStats* stats) {
   LabelingResult result;
 
-  PartitionedGraph<ClaimVertex> claim_graph(graph.num_workers());
-  graph.ForEach([&](const AsmNode& node) {
-    ClaimVertex v;
-    v.id = node.id;
-    v.boundary = !node.IsUnambiguousPathNode() ||
-                 (extra_boundary && extra_boundary(node));
-    if (v.boundary) {
-      ++result.num_ambiguous;
-      for (const BiEdge& e : node.edges) {
-        if (e.to != kNullId && e.to != node.id) {
-          v.broadcast_targets.push_back(e.to);
+  auto claim_graph = PartitionedGraph<ClaimVertex>::SlotAligned(
+      graph, [&](const AsmNode& node) {
+        ClaimVertex v;
+        v.id = node.id;
+        v.boundary = !node.IsUnambiguousPathNode() ||
+                     (extra_boundary && extra_boundary(node));
+        if (v.boundary) {
+          ++result.num_ambiguous;
+          v.broadcast_targets = node.NeighborIds();
+        } else {
+          ++result.num_unambiguous;
+          v.nbr[0] = node.PortNeighbor(NodeEnd::k5);
+          v.nbr[1] = node.PortNeighbor(NodeEnd::k3);
         }
-      }
-      std::sort(v.broadcast_targets.begin(), v.broadcast_targets.end());
-      v.broadcast_targets.erase(std::unique(v.broadcast_targets.begin(),
-                                            v.broadcast_targets.end()),
-                                v.broadcast_targets.end());
-    } else {
-      ++result.num_unambiguous;
-      const BiEdge* e5 = node.EdgeAt(NodeEnd::k5);
-      const BiEdge* e3 = node.EdgeAt(NodeEnd::k3);
-      v.nbr[0] = (e5 != nullptr) ? e5->to : kNullId;
-      v.nbr[1] = (e3 != nullptr) ? e3->to : kNullId;
-    }
-    claim_graph.Add(std::move(v));
-  });
+        return v;
+      });
 
   EngineConfig config;
   config.num_threads = options.num_threads;
@@ -124,10 +114,17 @@ LabelingResult SequentialLabel(
   result.stats = engine.Run(claim_graph);
   if (stats != nullptr) stats->Add(result.stats);
 
-  claim_graph.ForEach([&](const ClaimVertex& v) {
-    if (v.boundary || v.label == UINT64_MAX) return;  // cycles: unlabeled
-    result.labels[v.id] = v.label;
-  });
+  result.AlignWith(graph);
+  for (uint32_t p = 0; p < graph.num_workers(); ++p) {
+    const auto& vertices = claim_graph.partition(p).vertices;
+    for (uint32_t slot = 0; slot < vertices.size(); ++slot) {
+      const ClaimVertex& v = vertices[slot];
+      PPA_CHECK(v.id == graph.partition(p).vertices[slot].id);
+      // Boundary vertices and cycles stay unlabeled.
+      if (v.removed || v.boundary || v.label == kNoLabel) continue;
+      result.labels[p][slot] = v.label;
+    }
+  }
   return result;
 }
 

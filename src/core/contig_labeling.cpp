@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/sv.h"
@@ -143,95 +144,82 @@ LabelingResult LabelContigs(const AssemblyGraph& graph,
   LabelingResult result;
   const bool run_lr = (method == LabelingMethod::kListRanking);
 
-  PartitionedGraph<LabelVertex> label_graph(graph.num_workers());
-  graph.ForEach([&](const AsmNode& node) {
-    LabelVertex v;
-    v.id = node.id;
-    v.run_lr = run_lr;
-    v.ambiguous = !node.IsUnambiguousPathNode();
-    if (v.ambiguous) {
-      ++result.num_ambiguous;
-      for (const BiEdge& e : node.edges) {
-        if (e.to != kNullId && e.to != node.id) {
-          v.broadcast_targets.push_back(e.to);
+  // S-V input i labels slot sv_slots[i]. The labeling job's graph lives in
+  // the block below only, so it is freed before S-V builds its own.
+  result.AlignWith(graph);
+  std::vector<SvInput> sv_inputs;
+  std::vector<std::pair<uint32_t, uint32_t>> sv_slots;
+  {
+    auto label_graph = PartitionedGraph<LabelVertex>::SlotAligned(
+        graph, [&](const AsmNode& node) {
+          LabelVertex v;
+          v.id = node.id;
+          v.run_lr = run_lr;
+          v.ambiguous = !node.IsUnambiguousPathNode();
+          if (v.ambiguous) {
+            ++result.num_ambiguous;
+            v.broadcast_targets = node.NeighborIds();
+          } else {
+            ++result.num_unambiguous;
+            v.nbr[0] = node.PortNeighbor(NodeEnd::k5);
+            v.nbr[1] = node.PortNeighbor(NodeEnd::k3);
+          }
+          return v;
+        });
+
+    EngineConfig config;
+    config.num_threads = options.num_threads;
+    config.job_name =
+        std::string("contig-labeling-") + (run_lr ? "lr" : "sv-endrec");
+    Engine<LabelVertex> engine(config);
+    result.stats = engine.Run(label_graph);
+    if (stats != nullptr) stats->Add(result.stats);
+
+    // Collect per slot. LR labels finished vertices here and hands the
+    // leftovers (cycles) to S-V; the S-V method hands over every path vertex,
+    // its neighbors being the non-end predecessor slots recognized in
+    // superstep 1.
+    for (uint32_t p = 0; p < graph.num_workers(); ++p) {
+      const auto& vertices = label_graph.partition(p).vertices;
+      for (uint32_t slot = 0; slot < vertices.size(); ++slot) {
+        const LabelVertex& v = vertices[slot];
+        PPA_CHECK(v.id == graph.partition(p).vertices[slot].id);
+        if (v.removed || v.ambiguous) continue;
+        if (run_lr && !v.in_cycle) {
+          // "We use the smaller contig-end vertex's ID as the contig-label."
+          result.labels[p][slot] =
+              std::min(ClearEndMark(v.pred[0]), ClearEndMark(v.pred[1]));
+          continue;
         }
-      }
-      std::sort(v.broadcast_targets.begin(), v.broadcast_targets.end());
-      v.broadcast_targets.erase(std::unique(v.broadcast_targets.begin(),
-                                            v.broadcast_targets.end()),
-                                v.broadcast_targets.end());
-    } else {
-      ++result.num_unambiguous;
-      const BiEdge* e5 = node.EdgeAt(NodeEnd::k5);
-      const BiEdge* e3 = node.EdgeAt(NodeEnd::k3);
-      v.nbr[0] = (e5 != nullptr) ? e5->to : kNullId;
-      v.nbr[1] = (e3 != nullptr) ? e3->to : kNullId;
-    }
-    label_graph.Add(std::move(v));
-  });
-
-  EngineConfig config;
-  config.num_threads = options.num_threads;
-  config.job_name =
-      std::string("contig-labeling-") + (run_lr ? "lr" : "sv-endrec");
-  Engine<LabelVertex> engine(config);
-  result.stats = engine.Run(label_graph);
-  if (stats != nullptr) stats->Add(result.stats);
-
-  if (run_lr) {
-    // Collect labels; leftovers (cycles) go to S-V.
-    std::vector<SvInput> cycle_inputs;
-    label_graph.ForEach([&](const LabelVertex& v) {
-      if (v.ambiguous) return;
-      if (v.in_cycle) {
         SvInput in;
         in.id = v.id;
         for (int s = 0; s < 2; ++s) {
-          if (v.nbr[s] != kNullId) in.neighbors.push_back(v.nbr[s]);
+          if (run_lr ? v.nbr[s] != kNullId : !HasEndMark(v.pred[s])) {
+            in.neighbors.push_back(run_lr ? v.nbr[s] : v.pred[s]);
+          }
         }
-        cycle_inputs.push_back(std::move(in));
-        return;
-      }
-      uint64_t a = ClearEndMark(v.pred[0]);
-      uint64_t b = ClearEndMark(v.pred[1]);
-      // "We use the smaller contig-end vertex's ID as the contig-label."
-      result.labels[v.id] = std::min(a, b);
-    });
-    result.num_cycle_vertices = cycle_inputs.size();
-    if (!cycle_inputs.empty()) {
-      SvResult sv =
-          RunSimplifiedSv(cycle_inputs, options.num_workers,
-                          options.num_threads, "contig-labeling-cycle-sv");
-      result.cycle_sv_stats = sv.stats;
-      if (stats != nullptr) stats->Add(sv.stats);
-      for (const auto& [id, comp] : sv.component) {
-        result.labels[id] = comp;
-        result.on_cycle[id] = true;
+        sv_inputs.push_back(std::move(in));
+        sv_slots.emplace_back(p, slot);
       }
     }
-  } else {
-    // S-V over the whole unambiguous subgraph: neighbors are the non-end
-    // predecessor slots recognized in superstep 1.
-    std::vector<SvInput> inputs;
-    label_graph.ForEach([&](const LabelVertex& v) {
-      if (v.ambiguous) return;
-      SvInput in;
-      in.id = v.id;
-      for (int s = 0; s < 2; ++s) {
-        if (!HasEndMark(v.pred[s])) in.neighbors.push_back(v.pred[s]);
-      }
-      inputs.push_back(std::move(in));
-    });
-    SvResult sv = RunSimplifiedSv(inputs, options.num_workers,
-                                  options.num_threads, "contig-labeling-sv");
-    result.cycle_sv_stats = sv.stats;
-    if (stats != nullptr) stats->Add(sv.stats);
-    for (const auto& [id, comp] : sv.component) {
-      result.labels[id] = comp;
-    }
+  }
+  if (run_lr) {
+    result.num_cycle_vertices = sv_inputs.size();
+    if (sv_inputs.empty()) return result;
+  }
+
+  SvResult sv = RunSimplifiedSv(
+      sv_inputs, options.num_workers, options.num_threads,
+      run_lr ? "contig-labeling-cycle-sv" : "contig-labeling-sv");
+  result.cycle_sv_stats = sv.stats;
+  if (stats != nullptr) stats->Add(sv.stats);
+  for (size_t i = 0; i < sv_slots.size(); ++i) {
+    const auto [p, slot] = sv_slots[i];
+    result.labels[p][slot] = sv.component[i];
     // Cycle detection for the S-V method: a component whose every member
     // has two path neighbors is a cycle; merging handles it via the
     // "no contig-end found" case, so no marking is needed here.
+    if (run_lr) result.on_cycle[p][slot] = 1;
   }
   return result;
 }

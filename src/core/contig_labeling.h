@@ -18,16 +18,19 @@
 //
 //   * Simplified S-V over the whole unambiguous subgraph (baseline in
 //     Tables II/III): label = smallest vertex ID in the component.
+//
+// The labeling job's graph mirrors the assembly graph slot for slot
+// (PartitionedGraph::SlotAligned), so the output is flat: per partition,
+// label and on-cycle vectors beside the graph's vertices, read by slot.
 #ifndef PPA_CORE_CONTIG_LABELING_H_
 #define PPA_CORE_CONTIG_LABELING_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "core/options.h"
 #include "dbg/node.h"
 #include "pregel/stats.h"
-#include "util/hash.h"
 
 namespace ppa {
 
@@ -41,12 +44,18 @@ inline const char* LabelingMethodName(LabelingMethod m) {
   return m == LabelingMethod::kListRanking ? "LR" : "S-V";
 }
 
-/// Labeling output.
+/// LabelingResult::labels entry of an unlabeled vertex. Not kNullId, which
+/// is also worker 0's first contig id (MakeContigId(0, 0)); no vertex id
+/// has the end-mark bit set, so this value is never a label.
+inline constexpr uint64_t kNoLabel = ~0ULL;
+
+/// Labeling output, slot-aligned with the labeled graph: labels[p][i] and
+/// on_cycle[p][i] describe graph.partition(p).vertices[i].
 struct LabelingResult {
-  // Node id -> contig label, for every unambiguous node.
-  std::unordered_map<uint64_t, uint64_t, IdHash> labels;
-  // Node ids that were found to lie on a cycle of <1-1> vertices.
-  std::unordered_map<uint64_t, bool, IdHash> on_cycle;
+  // Contig label per slot; kNoLabel for ambiguous, removed, unlabeled slots.
+  std::vector<std::vector<uint64_t>> labels;
+  // 1 for vertices found on a cycle of <1-1> vertices (LR method only).
+  std::vector<std::vector<uint8_t>> on_cycle;
   uint64_t num_unambiguous = 0;
   uint64_t num_ambiguous = 0;
   uint64_t num_cycle_vertices = 0;
@@ -63,10 +72,20 @@ struct LabelingResult {
   double total_seconds() const {
     return stats.wall_seconds + cycle_sv_stats.wall_seconds;
   }
+  /// Sizes labels and on_cycle to `graph`'s slots, none labeled.
+  void AlignWith(const AssemblyGraph& graph) {
+    labels.resize(graph.num_workers());
+    on_cycle.resize(graph.num_workers());
+    for (uint32_t p = 0; p < graph.num_workers(); ++p) {
+      labels[p].assign(graph.partition(p).vertices.size(), kNoLabel);
+      on_cycle[p].assign(graph.partition(p).vertices.size(), 0);
+    }
+  }
 };
 
 /// Labels every unambiguous node of `graph` with its contig label.
-/// The graph itself is not modified.
+/// The graph itself is not modified; the result indexes its slots, so it
+/// is valid until the graph is next added to or compacted.
 LabelingResult LabelContigs(const AssemblyGraph& graph,
                             const AssemblerOptions& options,
                             LabelingMethod method,

@@ -1,12 +1,18 @@
 // Operation 3: contig merging (Sec. IV.B-3).
 //
 // Groups labeled unambiguous vertices by contig label with a mini MapReduce
-// job; each reducer builds a hash table over its group, locates a contig-end
-// vertex (or, for cycles, starts anywhere), orders the vertices along the
-// path and stitches their sequences with (k-1)-base overlap elision,
-// reverse-complementing each vertex whose edge polarity requires it. The
-// contig's coverage is the minimum coverage seen during concatenation; its
-// two neighbors are the ambiguous vertices (or dead ends) at the path ends.
+// job. Labels are read by slot, and each labeled vertex is shuffled as one
+// flat, trivially copyable record: id, port neighbors with their ends and
+// edge coverages, coverage, and k-mer code (or, for a round-2 contig
+// vertex, a (partition, slot) handle to its sequence in the graph, which
+// the reduce only reads). Each reducer sorts its group by id, locates a
+// contig-end vertex (or, for cycles, starts anywhere), follows the port
+// neighbors by binary search and writes one pre-sized sequence with (k-1)-
+// base overlap elision, reverse-complementing each vertex whose edge
+// polarity requires it. The contig's coverage is the minimum coverage seen
+// during concatenation; its two neighbors are the ambiguous vertices (or
+// dead ends) at the path ends. The job never spills: its records are a
+// subset of the resident graph.
 //
 // Dangling contigs not longer than the tip-length threshold are dropped at
 // merge time ("we exit reduce() if the aggregated contig length is not
@@ -41,8 +47,10 @@ struct MergeResult {
 
 /// Merges labeled vertices of `graph` into contig vertices, in place:
 /// merged path nodes are removed, contig nodes are added, and ambiguous
-/// endpoint vertices are re-linked. `next_contig_ordinal` (one counter per
-/// logical worker) persists across merge rounds so contig IDs stay unique.
+/// endpoint vertices are re-linked. `labels` index the graph's slots, so
+/// they must come from labeling this graph with no change in between.
+/// `next_contig_ordinal` (one counter per logical worker) persists across
+/// merge rounds so contig IDs stay unique.
 MergeResult MergeContigs(AssemblyGraph& graph, const LabelingResult& labels,
                          const AssemblerOptions& options,
                          std::vector<uint32_t>* next_contig_ordinal,

@@ -21,11 +21,9 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "pregel/stats.h"
-#include "util/hash.h"
 
 namespace ppa {
 
@@ -37,7 +35,8 @@ struct SvInput {
 
 /// Result: component label (smallest vertex ID in the component) per vertex.
 struct SvResult {
-  std::unordered_map<uint64_t, uint64_t, IdHash> component;
+  // component[i] labels vertices[i] of the input.
+  std::vector<uint64_t> component;
   RunStats stats;
   uint32_t rounds = 0;
 };

@@ -133,9 +133,9 @@ void SaveContigs(const std::vector<ContigRecord>& contigs,
   std::vector<std::vector<std::string>> parts(num_parts);
   for (size_t i = 0; i < contigs.size(); ++i) {
     const ContigRecord& c = contigs[i];
-    std::string header = ">" + std::to_string(c.id) + " " +
-                         std::to_string(c.coverage) + " " +
-                         (c.circular ? "1" : "0");
+    std::string header = std::string(">").append(std::to_string(c.id));
+    header.append(" ").append(std::to_string(c.coverage));
+    header.append(c.circular ? " 1" : " 0");
     auto& lines = parts[i % num_parts];
     lines.push_back(header);
     lines.push_back(c.seq.ToString());

@@ -10,6 +10,7 @@
 #ifndef PPA_DBG_NODE_H_
 #define PPA_DBG_NODE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -134,6 +135,23 @@ struct AsmNode {
     return found;
   }
 
+  /// Id of the single neighbor at `end`; kNullId if absent or not unique.
+  uint64_t PortNeighbor(NodeEnd end) const {
+    const BiEdge* e = EdgeAt(end);
+    return e != nullptr ? e->to : kNullId;
+  }
+
+  /// Distinct ids of the other vertices this node has edges to, ascending.
+  std::vector<uint64_t> NeighborIds() const {
+    std::vector<uint64_t> ids;
+    for (const BiEdge& e : edges) {
+      if (e.to != kNullId && e.to != id) ids.push_back(e.to);
+    }
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    return ids;
+  }
+
   /// Removes all edges to `nbr` attached at our `end` matching the
   /// neighbor's end; returns the number removed.
   int RemoveEdge(uint64_t nbr, NodeEnd my_end_v, NodeEnd to_end_v) {
@@ -163,21 +181,6 @@ struct AsmNode {
 
 /// The partitioned assembly graph all operations read and write.
 using AssemblyGraph = PartitionedGraph<AsmNode>;
-
-/// Human-readable vertex type (debugging / reports).
-inline const char* VertexTypeName(VertexType t) {
-  switch (t) {
-    case VertexType::kOne:
-      return "<1>";
-    case VertexType::kOneOne:
-      return "<1-1>";
-    case VertexType::kManyMany:
-      return "<m-n>";
-    case VertexType::kIsolated:
-      return "<isolated>";
-  }
-  return "?";
-}
 
 }  // namespace ppa
 

@@ -36,6 +36,10 @@ class PackedSequence {
     return static_cast<uint8_t>((words_[i >> 5] >> (2 * (i & 31))) & 3);
   }
 
+  /// Makes room for `bases` bases in total, so appends up to that length
+  /// do not reallocate.
+  void Reserve(size_t bases) { words_.reserve((bases + 31) / 32); }
+
   /// Appends a single base.
   void PushBack(uint8_t base);
 
@@ -59,9 +63,6 @@ class PackedSequence {
   size_t GcCount() const;
 
   std::string ToString() const;
-
-  /// Heap bytes used by the packed payload (for the memory ablation).
-  size_t PackedBytes() const { return words_.size() * sizeof(uint64_t); }
 
   friend bool operator==(const PackedSequence& a, const PackedSequence& b) {
     return a.size_ == b.size_ && a.words_ == b.words_;

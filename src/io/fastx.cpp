@@ -183,9 +183,9 @@ bool FastxReader::Next(Read* read) {
              "truncated FASTQ record: missing '+' separator line" + at_record);
     }
     if (line.empty() || line[0] != '+') {
-      Fail("malformed FASTQ record: expected '+' separator, got " +
-           (line.empty() ? std::string("a blank line")
-                         : "'" + line.substr(0, 1) + "'") +
+      std::string got = "a blank line";
+      if (!line.empty()) got.assign({'\'', line[0], '\''});
+      Fail("malformed FASTQ record: expected '+' separator, got " + got +
            at_record);
     }
     if (!ReadLine(&line)) {

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "pregel/graph.h"
-#include "pregel/mapreduce.h"
 #include "util/thread_pool.h"
 
 namespace ppa {
@@ -33,8 +32,7 @@ PartitionedGraph<DstVertexT> ConvertGraph(PartitionedGraph<SrcVertexT>&& src,
                                           ConvertFn convert_fn,
                                           unsigned num_threads = 0) {
   const uint32_t W = src.num_workers();
-  ThreadPool pool(num_threads == 0 ? ThreadPool::DefaultThreads()
-                                   : num_threads);
+  ThreadPool pool(num_threads);
 
   // Per source partition, emit routed destination vertices.
   std::vector<std::vector<std::vector<DstVertexT>>> routed(W);
@@ -64,21 +62,6 @@ PartitionedGraph<DstVertexT> ConvertGraph(PartitionedGraph<SrcVertexT>&& src,
     }
   }
   return dst;
-}
-
-/// Convenience: converts each vertex of a graph into flat records (e.g. for
-/// dumping results), preserving partition order.
-template <typename OutT, typename VertexT, typename Fn>
-Partitioned<OutT> ExtractPartitioned(const PartitionedGraph<VertexT>& graph,
-                                     Fn fn) {
-  Partitioned<OutT> out(graph.num_workers());
-  for (uint32_t p = 0; p < graph.num_workers(); ++p) {
-    for (const VertexT& v : graph.partition(p).vertices) {
-      if (v.removed) continue;
-      fn(v, out[p]);
-    }
-  }
-  return out;
 }
 
 }  // namespace ppa

@@ -9,7 +9,8 @@
 // job — the engine's per-vertex state and CSR inbox windows
 // (pregel/engine.h) are indexed by them — and change only on Compact.
 // Deletion is lazy (the `removed` flag); a removed vertex keeps its index
-// entry until Compact, and Find hides it.
+// entry until Compact, and Find hides it. A job graph built by SlotAligned
+// mirrors its source's slots, so per-slot results index the source.
 #ifndef PPA_PREGEL_GRAPH_H_
 #define PPA_PREGEL_GRAPH_H_
 
@@ -111,6 +112,25 @@ class PartitionedGraph {
         if (!v.removed) fn(v);
       }
     }
+  }
+
+  /// Builds the graph of a job over `src` slot-aligned with it: slot i of
+  /// partition p holds make(src.partition(p).vertices[i]), so per-slot job
+  /// results index straight back into `src`. A removed source vertex
+  /// becomes a removed, default-constructed placeholder.
+  template <typename SrcT, typename MakeFn>
+  static PartitionedGraph SlotAligned(const PartitionedGraph<SrcT>& src,
+                                      MakeFn&& make) {
+    PartitionedGraph out(src.num_workers());
+    for (uint32_t p = 0; p < src.num_workers(); ++p) {
+      for (const SrcT& v : src.partition(p).vertices) {
+        VertexT made = v.removed ? VertexT{} : make(v);
+        made.id = v.id;
+        made.removed = v.removed;
+        out.AddToPartition(p, std::move(made));
+      }
+    }
+    return out;
   }
 
   /// Physically erases removed vertices and rebuilds indexes.

@@ -558,8 +558,7 @@ Partitioned<Out> RunMapReduceImpl(const Partitioned<In>& input, MapFn map_fn,
   Timer timer;
   const uint32_t W = config.num_workers;
   PPA_CHECK(input.size() == W);
-  ThreadPool pool(config.num_threads == 0 ? ThreadPool::DefaultThreads()
-                                          : config.num_threads);
+  ThreadPool pool(config.num_threads);
 
   // --- Map phase: each source emits routed pairs into sealed chunks; the
   // spill policy may divert sealed chunks to per-destination files. -------

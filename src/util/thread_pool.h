@@ -27,12 +27,13 @@ namespace ppa {
 
 /// A fork/join pool: Run(n, fn) invokes fn(i) for i in [0, n), distributing
 /// indices over the pool's threads, and returns when all calls finished.
-/// With num_threads == 1 everything runs on the caller's thread, which keeps
-/// single-core environments (and deterministic unit tests) cheap.
+/// num_threads == 0 means DefaultThreads(). With num_threads == 1
+/// everything runs on the caller's thread, which keeps single-core
+/// environments (and deterministic unit tests) cheap.
 class ThreadPool {
  public:
   explicit ThreadPool(unsigned num_threads)
-      : num_threads_(num_threads == 0 ? 1 : num_threads) {}
+      : num_threads_(num_threads == 0 ? DefaultThreads() : num_threads) {}
 
   unsigned num_threads() const { return num_threads_; }
 

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -37,9 +39,54 @@ AssemblyGraph GraphFrom(const std::vector<std::string>& read_strs,
   return std::move(dbg.graph);
 }
 
+/// Calls fn(node, label) for every slot of `graph`; `result` is
+/// slot-aligned with it.
+template <typename Fn>
+void ForEachSlot(const AssemblyGraph& graph, const LabelingResult& result,
+                 Fn fn) {
+  ASSERT_EQ(result.labels.size(), graph.num_workers());
+  ASSERT_EQ(result.on_cycle.size(), graph.num_workers());
+  for (uint32_t p = 0; p < graph.num_workers(); ++p) {
+    const auto& vertices = graph.partition(p).vertices;
+    ASSERT_EQ(result.labels[p].size(), vertices.size());
+    ASSERT_EQ(result.on_cycle[p].size(), vertices.size());
+    for (size_t slot = 0; slot < vertices.size(); ++slot) {
+      fn(vertices[slot], result.labels[p][slot]);
+    }
+  }
+}
+
+/// 100 bp reads with 0.5% errors at 30x over a genome with repeats.
+std::vector<Read> NoisyReads(size_t genome_length) {
+  GenomeConfig gconfig;
+  gconfig.length = genome_length;
+  gconfig.repeat_families = 2;
+  gconfig.repeat_length = 150;
+  gconfig.repeat_copies = 3;
+  gconfig.seed = 17;
+  ReadSimConfig rconfig;
+  rconfig.read_length = 100;
+  rconfig.coverage = 30;
+  rconfig.error_rate = 0.005;
+  rconfig.seed = 23;
+  return SimulateReads(GenerateGenome(gconfig), rconfig);
+}
+
+size_t NumLabeled(const LabelingResult& result) {
+  size_t n = 0;
+  for (const auto& part : result.labels) {
+    n += part.size() - std::count(part.begin(), part.end(), kNoLabel);
+  }
+  return n;
+}
+
 size_t DistinctLabels(const LabelingResult& result) {
   std::unordered_set<uint64_t> labels;
-  for (const auto& [id, label] : result.labels) labels.insert(label);
+  for (const auto& part : result.labels) {
+    for (uint64_t label : part) {
+      if (label != kNoLabel) labels.insert(label);
+    }
+  }
   return labels.size();
 }
 
@@ -53,7 +100,7 @@ TEST(LabelingTest, SinglePathGetsOneLabel) {
        {LabelingMethod::kListRanking, LabelingMethod::kSimplifiedSv}) {
     LabelingResult result = LabelContigs(graph, options, method);
     EXPECT_EQ(result.num_ambiguous, 0u) << LabelingMethodName(method);
-    EXPECT_EQ(result.labels.size(), graph.live_size());
+    EXPECT_EQ(NumLabeled(result), graph.live_size());
     EXPECT_EQ(DistinctLabels(result), 1u);
   }
 }
@@ -69,10 +116,8 @@ TEST(LabelingTest, ForkSplitsPaths) {
   EXPECT_GT(result.num_ambiguous, 0u);
   EXPECT_GT(DistinctLabels(result), 1u);
   // Ambiguous vertices carry no label.
-  graph.ForEach([&](const AsmNode& node) {
-    if (!node.IsUnambiguousPathNode()) {
-      EXPECT_EQ(result.labels.count(node.id), 0u);
-    }
+  ForEachSlot(graph, result, [](const AsmNode& node, uint64_t label) {
+    if (!node.IsUnambiguousPathNode()) EXPECT_EQ(label, kNoLabel);
   });
 }
 
@@ -88,17 +133,24 @@ TEST(LabelingTest, LrAndSvAgreeOnGrouping) {
   LabelingResult sv =
       LabelContigs(graph, options, LabelingMethod::kSimplifiedSv);
 
-  ASSERT_EQ(lr.labels.size(), sv.labels.size());
+  ASSERT_EQ(NumLabeled(lr), NumLabeled(sv));
   // The label *values* differ (LR: min end id; SV: min id) but the induced
   // partitions must be identical.
   std::unordered_map<uint64_t, std::unordered_set<uint64_t>> lr_groups;
   std::unordered_map<uint64_t, std::unordered_set<uint64_t>> sv_groups;
-  for (const auto& [id, label] : lr.labels) lr_groups[label].insert(id);
-  for (const auto& [id, label] : sv.labels) sv_groups[label].insert(id);
+  std::unordered_map<uint64_t, uint64_t> sv_label_of;
+  ForEachSlot(graph, lr, [&](const AsmNode& node, uint64_t label) {
+    if (label != kNoLabel) lr_groups[label].insert(node.id);
+  });
+  ForEachSlot(graph, sv, [&](const AsmNode& node, uint64_t label) {
+    if (label == kNoLabel) return;
+    sv_groups[label].insert(node.id);
+    sv_label_of[node.id] = label;
+  });
   ASSERT_EQ(lr_groups.size(), sv_groups.size());
   for (const auto& [label, members] : lr_groups) {
     // Find the SV group of any member; must be identical.
-    uint64_t sv_label = sv.labels.at(*members.begin());
+    uint64_t sv_label = sv_label_of.at(*members.begin());
     EXPECT_EQ(sv_groups.at(sv_label), members);
   }
 }
@@ -113,10 +165,8 @@ TEST(LabelingTest, PureCycleFallsBackToSv) {
       LabelContigs(graph, options, LabelingMethod::kListRanking);
   // Either the graph has ambiguity (depending on k) or a cycle was found
   // and labeled via the fallback. All unambiguous vertices must be labeled.
-  graph.ForEach([&](const AsmNode& node) {
-    if (node.IsUnambiguousPathNode()) {
-      EXPECT_EQ(result.labels.count(node.id), 1u);
-    }
+  ForEachSlot(graph, result, [](const AsmNode& node, uint64_t label) {
+    if (node.IsUnambiguousPathNode()) EXPECT_NE(label, kNoLabel);
   });
   if (result.num_cycle_vertices > 0) {
     EXPECT_GT(result.cycle_sv_stats.num_supersteps(), 0u);
@@ -151,9 +201,10 @@ TEST(LabelingTest, LabelIsSmallerEndMarkedId) {
   // The LR label of a path is one of its member ids (the smaller end).
   std::unordered_set<uint64_t> ids;
   graph.ForEach([&](const AsmNode& node) { ids.insert(node.id); });
-  for (const auto& [id, label] : result.labels) {
-    EXPECT_TRUE(ids.count(label) == 1) << label;
-  }
+  EXPECT_GT(NumLabeled(result), 0u);
+  ForEachSlot(graph, result, [&](const AsmNode&, uint64_t label) {
+    if (label != kNoLabel) EXPECT_TRUE(ids.count(label) == 1) << label;
+  });
 }
 
 // The label map is a function of the graph, not of how the 16 logical
@@ -161,18 +212,7 @@ TEST(LabelingTest, LabelIsSmallerEndMarkedId) {
 // labels at 1, 2 and 4 threads. Reads carry 0.5% errors so the graph has
 // the forks, tips and bubbles of a real run, not just clean paths.
 TEST(LabelingTest, LabelsIdenticalAcrossThreadCounts) {
-  GenomeConfig gconfig;
-  gconfig.length = 20000;
-  gconfig.repeat_families = 2;
-  gconfig.repeat_length = 150;
-  gconfig.repeat_copies = 3;
-  gconfig.seed = 17;
-  ReadSimConfig rconfig;
-  rconfig.read_length = 100;
-  rconfig.coverage = 30;
-  rconfig.error_rate = 0.005;
-  rconfig.seed = 23;
-  std::vector<Read> reads = SimulateReads(GenerateGenome(gconfig), rconfig);
+  std::vector<Read> reads = NoisyReads(20000);
 
   AssemblerOptions options = TestOptions(31);
   options.num_workers = 16;
@@ -196,6 +236,61 @@ TEST(LabelingTest, LabelsIdenticalAcrossThreadCounts) {
           << LabelingMethodName(method) << " threads=" << threads;
       EXPECT_EQ(got.total_supersteps(), reference.total_supersteps())
           << LabelingMethodName(method) << " threads=" << threads;
+    }
+  }
+}
+
+// Labels index slots, not ids: on a graph with removed vertices, before and
+// after Compact moves the survivors, every slot carries the label its vertex
+// gets in a graph holding the same vertices in reverse order (so at other
+// slots), and removed slots carry none.
+TEST(LabelingTest, LabelsStaySlotAlignedAcrossCompaction) {
+  AssemblerOptions options = TestOptions(31);
+  options.num_workers = 4;
+  AssemblyGraph graph = std::move(BuildDbg(NoisyReads(8000), options).graph);
+
+  // Remove every fifth vertex together with the edges into it.
+  std::vector<uint64_t> doomed;
+  size_t i = 0;
+  graph.ForEach([&](const AsmNode& node) {
+    if (i++ % 5 == 0) doomed.push_back(node.id);
+  });
+  for (uint64_t id : doomed) {
+    AsmNode* node = graph.Find(id);
+    for (const BiEdge& e : node->edges) {
+      if (AsmNode* nbr = graph.Find(e.to)) nbr->RemoveEdgesTo(id);
+    }
+    node->removed = true;
+  }
+  AssemblyGraph compacted = graph;
+  compacted.Compact();
+  std::vector<const AsmNode*> live;
+  graph.ForEach([&](const AsmNode& node) { live.push_back(&node); });
+  AssemblyGraph reversed(options.num_workers);
+  for (size_t j = live.size(); j > 0; --j) reversed.Add(*live[j - 1]);
+
+  for (LabelingMethod method :
+       {LabelingMethod::kListRanking, LabelingMethod::kSimplifiedSv}) {
+    const LabelingResult reference = LabelContigs(reversed, options, method);
+    ASSERT_GT(DistinctLabels(reference), 1u) << LabelingMethodName(method);
+    auto reference_label = [&](uint64_t id) {
+      const uint32_t p = PartitionOf(id, reversed.num_workers());
+      return reference.labels[p][reversed.partition(p).index.Find(id)];
+    };
+    for (const AssemblyGraph* g : {&graph, &compacted}) {
+      const LabelingResult got = LabelContigs(*g, options, method);
+      EXPECT_EQ(NumLabeled(got), NumLabeled(reference));
+      size_t removed_slots = 0;
+      ForEachSlot(*g, got, [&](const AsmNode& node, uint64_t label) {
+        if (node.removed) {
+          ++removed_slots;
+          EXPECT_EQ(label, kNoLabel);
+        } else {
+          EXPECT_EQ(label, reference_label(node.id))
+              << LabelingMethodName(method) << " vertex " << node.id;
+        }
+      });
+      EXPECT_EQ(removed_slots, g == &graph ? doomed.size() : 0u);
     }
   }
 }
